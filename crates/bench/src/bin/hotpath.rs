@@ -419,7 +419,7 @@ fn bench_free_while_registering(rounds: u64, opt: bool) -> Measurement {
                 // single-core runner an unyielding spin loop can hold the
                 // CPU for a whole timed rep, collapsing whichever side it
                 // lands on by ~3x and flipping the verify gate at random.
-                if i % 64 == 0 {
+                if i.is_multiple_of(64) {
                     std::thread::yield_now();
                 }
             }

@@ -33,7 +33,6 @@ use dangsan_vmem::Addr;
 
 use crate::compress::{self, Fold};
 use crate::config::{Config, EMBEDDED_ENTRIES};
-use crate::pool::PoolItem;
 use crate::stats::{Hot, Stats};
 
 /// `b` payload of a [`EventCode::TierPromote`] event: a fresh indirect
@@ -144,7 +143,6 @@ pub struct ThreadLog {
     pub thread_id: AtomicU64,
     /// Next log in the object's list (Figure 6).
     pub next: AtomicPtr<ThreadLog>,
-    pool_next: AtomicPtr<ThreadLog>,
     embedded_len: AtomicU32,
     embedded: [AtomicU64; EMBEDDED_ENTRIES],
     indirect: AtomicPtr<IndirectBlock>,
@@ -156,18 +154,11 @@ impl Default for ThreadLog {
         ThreadLog {
             thread_id: AtomicU64::new(u64::MAX),
             next: AtomicPtr::new(ptr::null_mut()),
-            pool_next: AtomicPtr::new(ptr::null_mut()),
             embedded_len: AtomicU32::new(0),
             embedded: Default::default(),
             indirect: AtomicPtr::new(ptr::null_mut()),
             hash: AtomicPtr::new(ptr::null_mut()),
         }
-    }
-}
-
-impl PoolItem for ThreadLog {
-    fn pool_next(&self) -> &AtomicPtr<ThreadLog> {
-        &self.pool_next
     }
 }
 

@@ -6,7 +6,6 @@ use std::ptr;
 use dangsan_vmem::Addr;
 
 use crate::log::ThreadLog;
-use crate::pool::PoolItem;
 
 /// Epochs are drawn from this global counter and never reused: every
 /// *lifetime* of every record — in any pool, in any detector — gets a
@@ -56,7 +55,6 @@ pub struct ObjectMeta {
     /// The alloc-site id the object was born at (for free-time
     /// evidence and demotion). Reset to 0 by `init`.
     pub site: AtomicU64,
-    pool_next: AtomicPtr<ObjectMeta>,
 }
 
 impl Default for ObjectMeta {
@@ -69,14 +67,7 @@ impl Default for ObjectMeta {
             epoch: AtomicU64::new(0),
             tier: AtomicU64::new(0),
             site: AtomicU64::new(0),
-            pool_next: AtomicPtr::new(ptr::null_mut()),
         }
-    }
-}
-
-impl PoolItem for ObjectMeta {
-    fn pool_next(&self) -> &AtomicPtr<ObjectMeta> {
-        &self.pool_next
     }
 }
 

@@ -4,50 +4,51 @@
 //! metadata structures" because the lock-free design lets a registering
 //! thread hold a reference to metadata that a freeing thread is recycling
 //! concurrently. The reproduction makes that discipline memory-safe by
-//! construction: metadata records are allocated once, recycled through a
-//! Treiber stack, and only returned to the host allocator when the whole
-//! detector is dropped (at which point no workload thread can hold a
-//! reference). A late-arriving registration can therefore write into a
-//! *recycled* record — a benign race the free-time value check filters out,
-//! exactly as in the paper — but never into freed memory.
+//! construction: metadata records are allocated once, parked on a locked
+//! free list between lifetimes, and only returned to the host allocator
+//! when the whole detector is dropped (at which point no workload thread
+//! can hold a reference). A late-arriving registration can therefore write
+//! into a *recycled* record — a benign race the free-time value check
+//! filters out, exactly as in the paper — but never into freed memory.
+//!
+//! Each pool is a mutex-guarded free list, not a lock-free stack: an
+//! untagged lock-free stack can hand one record to two owners through
+//! ABA. The lock is taken once per malloc and free, and once per new
+//! thread log, but not on the store path's log append.
 
-use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::ptr;
-
+use core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Implemented by records that can live in a [`Pool`].
-pub trait PoolItem: Default {
-    /// The intrusive link used while the item sits in the free stack.
-    fn pool_next(&self) -> &AtomicPtr<Self>;
-}
-
-/// A lock-free free-list of `T` records with type-stable backing memory.
-pub struct Pool<T: PoolItem> {
-    head: AtomicPtr<T>,
+/// A free list of `T` records with type-stable backing memory.
+pub struct Pool<T> {
+    /// Records parked by `recycle`, ready for `take`.
+    free: Mutex<Vec<*mut T>>,
     /// Every record ever created, so `Drop` can reclaim host memory.
     all: Mutex<Vec<*mut T>>,
     /// Host bytes allocated for records (for memory accounting).
     bytes: AtomicU64,
 }
 
-// SAFETY: `head` is only manipulated with CAS; `all` is lock-protected and
-// raw pointers are freed only in `Drop` under exclusive access.
-unsafe impl<T: PoolItem + Send> Send for Pool<T> {}
+// SAFETY: `free` and `all` are lock-protected, `bytes` is atomic, and the
+// records behind the raw pointers are freed only in `Drop` under exclusive
+// access. Records move between threads through `recycle`/`take` and are
+// dropped wherever the pool drops (`T: Send`); every thread holding the
+// pool may hold `&T` to the same record (`T: Sync`).
+unsafe impl<T: Send> Send for Pool<T> {}
 // SAFETY: as above.
-unsafe impl<T: PoolItem + Send> Sync for Pool<T> {}
+unsafe impl<T: Send + Sync> Sync for Pool<T> {}
 
-impl<T: PoolItem> Default for Pool<T> {
+impl<T: Default> Default for Pool<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: PoolItem> Pool<T> {
+impl<T: Default> Pool<T> {
     /// Creates an empty pool.
     pub fn new() -> Self {
         Pool {
-            head: AtomicPtr::new(ptr::null_mut()),
+            free: Mutex::new(Vec::new()),
             all: Mutex::new(Vec::new()),
             bytes: AtomicU64::new(0),
         }
@@ -58,44 +59,25 @@ impl<T: PoolItem> Pool<T> {
     /// The returned reference stays valid until the pool is dropped, even
     /// if the record is recycled in the meantime (type-stability).
     pub fn take(&self) -> &T {
-        let mut cur = self.head.load(Ordering::Acquire);
-        while !cur.is_null() {
-            // SAFETY: non-null stack entries are live pool-owned records.
-            let next = unsafe { (*cur).pool_next().load(Ordering::Acquire) };
-            match self
-                .head
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
-                // SAFETY: we won the pop; the record is ours to hand out.
-                Ok(_) => return unsafe { &*cur },
-                Err(actual) => cur = actual,
-            }
-        }
-        let fresh = Box::into_raw(Box::<T>::default());
-        self.bytes
-            .fetch_add(core::mem::size_of::<T>() as u64, Ordering::Relaxed);
-        self.all.lock().expect("not poisoned").push(fresh);
-        // SAFETY: freshly allocated, owned by the pool, never freed until
+        let parked = self.free.lock().expect("not poisoned").pop();
+        let raw = parked.unwrap_or_else(|| {
+            let fresh = Box::into_raw(Box::<T>::default());
+            self.bytes
+                .fetch_add(core::mem::size_of::<T>() as u64, Ordering::Relaxed);
+            self.all.lock().expect("not poisoned").push(fresh);
+            fresh
+        });
+        // SAFETY: every record is owned by the pool and never freed until
         // the pool drops.
-        unsafe { &*fresh }
+        unsafe { &*raw }
     }
 
-    /// Returns a record to the free stack. The caller must have reset it
-    /// and must not use the reference afterwards (late racy writes are
-    /// tolerated but lost).
+    /// Parks a record for reuse. The caller must have reset it and must
+    /// not use the reference afterwards (late racy writes are tolerated
+    /// but lost).
     pub fn recycle(&self, item: &T) {
         let raw = item as *const T as *mut T;
-        let mut cur = self.head.load(Ordering::Acquire);
-        loop {
-            item.pool_next().store(cur, Ordering::Release);
-            match self
-                .head
-                .compare_exchange_weak(cur, raw, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+        self.free.lock().expect("not poisoned").push(raw);
     }
 
     /// Host bytes backing all records ever allocated from this pool.
@@ -117,9 +99,9 @@ impl<T: PoolItem> Pool<T> {
 /// would put the host allocator on the free path, which is exactly what
 /// the detector's own pools exist to avoid. Buffers keep their capacity
 /// across frees, so a steady-state workload reaches its high-water mark
-/// once and never allocates again. A mutex (not a Treiber stack like
-/// [`Pool`]) is fine here: it is taken once per *free*, not per pointer,
-/// and the critical section is a `Vec::pop`/`push`.
+/// once and never allocates again. Like [`Pool`], it is a mutex-guarded
+/// `Vec`: the lock is taken once per *free*, not per pointer, and the
+/// critical section is a `Vec::pop`/`push`.
 pub struct ScratchPool {
     bufs: Mutex<Vec<Vec<u64>>>,
     /// Capacity bytes across the buffers currently parked (for memory
@@ -171,7 +153,7 @@ impl ScratchPool {
     }
 }
 
-impl<T: PoolItem> Drop for Pool<T> {
+impl<T> Drop for Pool<T> {
     fn drop(&mut self) {
         for raw in self.all.get_mut().expect("not poisoned").drain(..) {
             // SAFETY: every record was created by `Box::into_raw` in
@@ -190,13 +172,6 @@ mod tests {
     #[derive(Default)]
     struct Rec {
         value: AtomicU64,
-        next: AtomicPtr<Rec>,
-    }
-
-    impl PoolItem for Rec {
-        fn pool_next(&self) -> &AtomicPtr<Rec> {
-            &self.next
-        }
     }
 
     #[test]
@@ -236,33 +211,56 @@ mod tests {
         assert_eq!(pool.bytes(), 0);
     }
 
+    /// Rounds per thread in the ABA stress below: bounded for the default
+    /// test pass, long under `heavy-tests`.
+    #[cfg(not(feature = "heavy-tests"))]
+    const ABA_ROUNDS: usize = 200_000;
+    #[cfg(feature = "heavy-tests")]
+    const ABA_ROUNDS: usize = 2_000_000;
+
     #[test]
     fn concurrent_take_recycle_is_linearizable() {
-        use std::sync::Arc;
-        let pool: Arc<Pool<Rec>> = Arc::new(Pool::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let pool = Arc::clone(&pool);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..10_000 {
-                    let r = pool.take();
-                    r.value.fetch_add(1, Ordering::Relaxed);
-                    pool.recycle(r);
-                }
-            }));
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        #[derive(Default)]
+        struct Owned {
+            owned: AtomicBool,
         }
-        for h in handles {
-            h.join().unwrap();
+
+        // Seed four records, so two takes per thread across four threads
+        // oversubscribe the pool and every round races on reuse.
+        let pool: Pool<Owned> = Pool::new();
+        let seeds: Vec<&Owned> = (0..4).map(|_| pool.take()).collect();
+        for r in seeds {
+            pool.recycle(r);
         }
-        // No record was ever handed to two threads at once, so the records
-        // in `all` sum to exactly the number of operations.
-        let total: u64 = {
-            let all = pool.all.lock().unwrap();
-            all.iter()
-                // SAFETY: records are live until the pool drops.
-                .map(|&r| unsafe { (*r).value.load(Ordering::Relaxed) })
-                .sum()
-        };
-        assert_eq!(total, 8 * 10_000);
+        let start = Barrier::new(4);
+        let doubles: u64 = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let mut doubles = 0u64;
+                        for _ in 0..ABA_ROUNDS {
+                            let a = pool.take();
+                            doubles += a.owned.swap(true, Ordering::AcqRel) as u64;
+                            let b = pool.take();
+                            doubles += b.owned.swap(true, Ordering::AcqRel) as u64;
+                            a.owned.store(false, Ordering::Release);
+                            pool.recycle(a);
+                            b.owned.store(false, Ordering::Release);
+                            pool.recycle(b);
+                        }
+                        doubles
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        // A take that returns a record another thread still owns is the
+        // free-list ABA: two live objects sharing one metadata record.
+        assert_eq!(doubles, 0, "records handed to two owners at once");
+        assert!(pool.allocated() <= 8, "at most eight records are ever out");
     }
 }

@@ -181,6 +181,10 @@ impl SweepQueue {
     /// the trace event and the caller's backpressure check.
     pub(crate) fn push_object(&self, job: ObjectSweep) -> (u64, u64) {
         let bytes = job.bytes;
+        // Charge before publishing: once the job is in a shard, a racing
+        // popper may retire it, and its `fetch_sub` must not run first.
+        let pending = self.pending.fetch_add(1, Ordering::AcqRel) + 1;
+        let pending_bytes = self.pending_bytes.fetch_add(bytes, Ordering::AcqRel) + bytes;
         let shard = Self::home_shard();
         let depth = {
             let mut q = self.shards[shard].lock().expect("not poisoned");
@@ -188,8 +192,6 @@ impl SweepQueue {
             q.len() as u64
         };
         self.peaks[shard].fetch_max(depth, Ordering::Relaxed);
-        let pending = self.pending.fetch_add(1, Ordering::AcqRel) + 1;
-        let pending_bytes = self.pending_bytes.fetch_add(bytes, Ordering::AcqRel) + bytes;
         self.wake();
         (pending, pending_bytes)
     }
@@ -480,5 +482,54 @@ mod tests {
         assert_eq!(q.pin_block(0x3000, 2), Some(0x1000));
         assert_eq!(q.take_pins(), vec![0x2000, 0x3000]);
         assert!(q.take_pins().is_empty());
+    }
+
+    /// Rounds of the push-vs-retire stress below: bounded for the default
+    /// test pass, long under `heavy-tests`.
+    #[cfg(not(feature = "heavy-tests"))]
+    const RACE_ROUNDS: u64 = 100_000;
+    #[cfg(feature = "heavy-tests")]
+    const RACE_ROUNDS: u64 = 5_000_000;
+
+    #[test]
+    fn push_charges_before_a_racing_retire() {
+        use std::sync::atomic::AtomicBool;
+
+        // Lockstep rounds: each push races a popper spinning on the idle
+        // queue, and the next push waits for the retire.
+        let q = SweepQueue::new(u64::MAX, u64::MAX);
+        let retired = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
+        let (pushed, early) = std::thread::scope(|s| {
+            let popper = s.spawn(|| {
+                let mut early = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let Some((SweepJob::Object(o), _)) = q.pop(0) else {
+                        std::hint::spin_loop();
+                        continue;
+                    };
+                    // A popped job stays charged until it retires.
+                    early += (q.pending() == 0) as u64;
+                    q.retire_object(o.bytes);
+                    retired.fetch_add(1, Ordering::Release);
+                }
+                early
+            });
+            let pushed = std::panic::catch_unwind(|| {
+                for round in 1..=RACE_ROUNDS {
+                    q.push_object(job(8));
+                    while retired.load(Ordering::Acquire) < round {
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+            stop.store(true, Ordering::Relaxed);
+            (pushed, popper.join().unwrap())
+        });
+        // In debug builds the push after a premature retire overflows the
+        // wrapped counter; in release the popper sees the missing charge.
+        assert!(pushed.is_ok(), "a retire wrapped the pending counters");
+        assert_eq!(early, 0, "a job was popped before its charge landed");
+        assert_eq!((q.pending(), q.pending_bytes()), (0, 0));
     }
 }

@@ -52,7 +52,7 @@ echo "== tier-1: cargo build --release =="
 cargo build --release
 
 echo "== tier-1: cargo clippy -D warnings =="
-cargo clippy -q --all-targets -- -D warnings
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
