@@ -47,7 +47,7 @@ use dangsan::Config;
 use dangsan_baselines::{TagScheme, DEFAULT_TAG_BITS, DEFAULT_TAG_KEY};
 use dangsan_bench::report::Json;
 use dangsan_workloads::{
-    run_server, site_policy_env_overrides, sweep_env_overrides, tagging_env_overrides,
+    process_env, run_server, site_policy_env_overrides, sweep_env_overrides, tagging_env_overrides,
     DetectorKind, ServerProfile,
 };
 
@@ -79,12 +79,11 @@ fn cores() -> usize {
 /// more than rarer backpressure trips. `SWEEP_THREADS` /
 /// `DEFERRED_SWEEP` override the mode for matrix runs.
 fn detector_config(_workers: usize) -> Config {
-    site_policy_env_overrides(sweep_env_overrides(
-        Config::default()
-            .with_deferred_sweep(true)
-            .with_sweep_threads(0)
-            .with_quarantine_caps(256 << 10, 256),
-    ))
+    let cfg = Config::default()
+        .with_deferred_sweep(true)
+        .with_sweep_threads(0)
+        .with_quarantine_caps(256 << 10, 256);
+    site_policy_env_overrides(sweep_env_overrides(cfg, process_env), process_env)
 }
 
 /// The three measured arms. The detector arms differ ONLY in the
@@ -106,7 +105,7 @@ const ARMS: &[(&str, Arm)] = &[
 /// entry is `(name, kind, guarantee)` where the guarantee string is the
 /// detection contract the fuzz relation enforces analytically.
 fn defense_arms() -> Vec<(&'static str, DetectorKind, &'static str)> {
-    let tag = |s| DetectorKind::Tagging(tagging_env_overrides(s));
+    let tag = |s| DetectorKind::Tagging(tagging_env_overrides(s, process_env));
     vec![
         ("baseline", DetectorKind::Baseline, "none (uninstrumented)"),
         (

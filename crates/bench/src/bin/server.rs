@@ -28,7 +28,7 @@ use dangsan::Config;
 use dangsan_baselines::{TagScheme, DEFAULT_TAG_BITS, DEFAULT_TAG_KEY};
 use dangsan_bench::report::Json;
 use dangsan_workloads::{
-    metrics_env_overrides, run_server, run_server_opts, site_policy_env_overrides,
+    metrics_env_overrides, process_env, run_server, run_server_opts, site_policy_env_overrides,
     sweep_env_overrides, tagging_env_overrides, DetectorKind, ServerOptions, ServerProfile,
     ServerResult,
 };
@@ -41,12 +41,12 @@ fn cores() -> usize {
 /// axis so the CI matrix (SWEEP_THREADS / SITE_POLICY / METRICS)
 /// reaches this bench too.
 fn detector_config() -> Config {
-    metrics_env_overrides(site_policy_env_overrides(sweep_env_overrides(
-        Config::default()
-            .with_deferred_sweep(true)
-            .with_sweep_threads(0)
-            .with_quarantine_caps(256 << 10, 256),
-    )))
+    let cfg = Config::default()
+        .with_deferred_sweep(true)
+        .with_sweep_threads(0)
+        .with_quarantine_caps(256 << 10, 256);
+    let cfg = sweep_env_overrides(cfg, process_env);
+    metrics_env_overrides(site_policy_env_overrides(cfg, process_env), process_env)
 }
 
 fn profile(workers: usize) -> ServerProfile {
@@ -192,7 +192,7 @@ fn main() {
     ]
     .into_iter()
     .map(|(name, scheme)| {
-        let kind = DetectorKind::Tagging(tagging_env_overrides(scheme));
+        let kind = DetectorKind::Tagging(tagging_env_overrides(scheme, process_env));
         let cap = capacity(kind, workers, requests, reps);
         println!(
             "capacity     {name:<12} {cap:>8.0} req/s  ({:.2}x)",

@@ -24,7 +24,9 @@ use crate::object::{fresh_epoch, ObjectMeta};
 use crate::policy::{SitePolicy, Tier};
 use crate::pool::{Pool, ScratchPool};
 use crate::stats::{Hot, Stats, StatsSnapshot};
-use crate::sweep::{LogChain, MetaRef, ObjectSweep, SweepBatch, SweepJob, SweepQueue, SPLIT_PAGES};
+use crate::sweep::{
+    LogChain, MetaRef, ObjectSweep, RetireBatch, SweepBatch, SweepJob, SweepQueue, SPLIT_PAGES,
+};
 use dangsan_telemetry::{Collector, MetricsHub, Sampler};
 
 /// This thread's stable small integer id.
@@ -35,9 +37,9 @@ use dangsan_telemetry::{Collector, MetricsHub, Sampler};
 /// recorder events and detector logs agree on thread identity.
 pub use dangsan_trace::current_thread_id;
 
-/// Jobs a backpressure drain pops per shard-lock acquisition (mirrors
-/// `heap::magazine`'s refill `BATCH`: amortize the lock without holding
-/// it across the sweeps themselves).
+/// Jobs a backpressure drain pops per shard-lock acquisition and retires
+/// as one batch (mirrors `heap::magazine`'s refill `BATCH`: amortize the
+/// lock without holding it across the sweeps themselves).
 const BACKPRESSURE_BATCH: usize = 32;
 
 /// Entries in the per-thread last-object → log cache (power of two).
@@ -214,8 +216,9 @@ pub struct DangSan {
     log_pool: Pool<ThreadLog>,
     /// Host bytes of indirect blocks and hash tables.
     extra_bytes: AtomicU64,
-    /// Pooled scratch buffers for the free path's batched walk.
-    scratch: ScratchPool,
+    /// Pooled retire records: the free walk's location buffer plus a
+    /// batch's pending shared-state teardown (see `crate::sweep`).
+    scratch: ScratchPool<RetireBatch>,
     /// This detector's never-reused id, burned into registration-memo
     /// slots so a slot is only ever interpreted against the pool that
     /// filled it (see [`RegCacheSlot`]). Cache *validity* is per object
@@ -770,18 +773,30 @@ impl DangSan {
         }
     }
 
-    /// Adds a finished walk's outcome to the cold counters in one bulk
-    /// update per counter (the per-location RMWs this replaces were a
-    /// measurable slice of free-heavy workloads).
+    /// Adds a batch's summed walk outcome to the cold counters in one
+    /// bulk update per counter (the per-location, then per-free, RMWs
+    /// this replaces were a measurable slice of free-heavy workloads).
     fn account_report(&self, report: &InvalidationReport) {
-        for (counter, n) in [
-            (&self.stats.ptrs_invalidated, report.invalidated),
-            (&self.stats.stale_ptrs, report.stale),
-            (&self.stats.sigsegv_skips, report.skipped_unmapped),
-        ] {
-            if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
-            }
+        Stats::add(&self.stats.ptrs_invalidated, report.invalidated);
+        Stats::add(&self.stats.stale_ptrs, report.stale);
+        Stats::add(&self.stats.sigsegv_skips, report.skipped_unmapped);
+    }
+
+    /// The walk's input for one freed object: the range the invalidation
+    /// checks, snapshotted from the record, plus its detached log chain.
+    fn object_sweep(&self, meta: &ObjectMeta, obj_id: u64, logs: LogChain) -> ObjectSweep {
+        let base = meta.base.load(Ordering::Acquire);
+        let end = meta.end.load(Ordering::Acquire);
+        ObjectSweep {
+            base,
+            end,
+            obj_id,
+            // The quarantine charge: the object's checked range is within
+            // a byte of its block size, close enough for backpressure.
+            bytes: end.saturating_sub(base).max(1),
+            covered: meta.covered.load(Ordering::Acquire),
+            meta: MetaRef(meta),
+            logs,
         }
     }
 
@@ -804,24 +819,11 @@ impl DangSan {
         logs: LogChain,
     ) -> InvalidationReport {
         let queue = self.sweep.as_ref().expect("deferred mode is on");
-        let lo = meta.base.load(Ordering::Acquire);
-        let hi = meta.end.load(Ordering::Acquire);
-        let covered = meta.covered.load(Ordering::Acquire);
-        debug_assert_eq!(lo, base, "frees resolve to the block base");
+        let job = self.object_sweep(meta, obj_id, logs);
+        debug_assert_eq!(job.base, base, "frees resolve to the block base");
         Stats::bump(&self.stats.objects_freed);
         Stats::bump(&self.stats.frees_deferred);
-        // The quarantine charge: the object's checked range is within a
-        // byte of its block size, close enough for backpressure.
-        let bytes = hi.saturating_sub(lo).max(1);
-        let (pending, pending_bytes) = queue.push_object(ObjectSweep {
-            base: lo,
-            end: hi,
-            obj_id,
-            bytes,
-            covered,
-            meta: MetaRef(meta),
-            logs,
-        });
+        let (pending, pending_bytes) = queue.push_object(job);
         self.trace.record(
             TraceLevel::Full,
             EventCode::SweepEnqueue,
@@ -838,7 +840,8 @@ impl DangSan {
         // first so a thread sweeps mostly its own objects, stealing only
         // when its shard runs dry — without the steal a thread whose
         // backlog lives in another shard would spin on `over_cap` while
-        // never draining anything.
+        // never draining anything. Each popped batch also retires as one
+        // (see [`DangSan::run_jobs`]).
         if queue.over_cap() {
             let mut batch = Vec::with_capacity(BACKPRESSURE_BATCH);
             while queue.above_low_water() {
@@ -848,10 +851,8 @@ impl DangSan {
                     break;
                 }
                 Stats::add(&self.stats.sweep_steals, stolen);
-                for job in batch.drain(..) {
-                    Stats::bump(&self.stats.sweeps_backpressure);
-                    self.run_sweep_job(job, SWEEP_MODE_BACKPRESSURE);
-                }
+                Stats::add(&self.stats.sweeps_backpressure, batch.len() as u64);
+                self.run_jobs(batch.drain(..), SWEEP_MODE_BACKPRESSURE);
             }
         }
         // The walk has not run yet: the report is empty by contract, and
@@ -859,116 +860,67 @@ impl DangSan {
         InvalidationReport::default()
     }
 
-    /// Runs one popped sweep job to completion (`mode` tags the trace
-    /// span with how the job reached this thread).
-    fn run_sweep_job(&self, job: SweepJob, mode: u64) {
-        match job {
-            SweepJob::Object(obj) => self.run_object_sweep(obj, mode),
-            SweepJob::Part(batch, start, end) => self.run_part_sweep(&batch, start, end, mode),
+    /// Runs popped sweep jobs to completion as one retiring batch (`mode`
+    /// tags each trace span with how the job reached this thread): every
+    /// object finished by the batch retires in one
+    /// [`DangSan::apply_retire`]. `drain` and the helper threads pass a
+    /// batch of one.
+    fn run_jobs(&self, jobs: impl IntoIterator<Item = SweepJob>, mode: u64) {
+        let mut rec = self.scratch.take();
+        for job in jobs {
+            match job {
+                SweepJob::Object(obj) => {
+                    self.run_object_sweep(obj, mode, &mut rec);
+                }
+                SweepJob::Part(batch, start, end) => {
+                    self.run_part_sweep(&batch, start, end, mode, &mut rec)
+                }
+            }
         }
+        self.apply_retire(&mut rec);
+        self.scratch.recycle(rec);
     }
 
-    /// The deferred twin of the inline free walk: drain the detached
-    /// chain, sort + dedup, and invalidate page by page — or, when the
-    /// walk spans more than [`SPLIT_PAGES`] page runs, split it into
-    /// page-aligned parts so one giant object cannot stall a sweeper
-    /// (idle helpers steal the parts and share the walk).
-    fn run_object_sweep(&self, obj: ObjectSweep, mode: u64) {
-        let mut locs = self.scratch.take();
-        let mut cur = obj.logs.0;
+    /// Drains a detached log chain into `rec.locs`, resetting each log
+    /// and parking it in `rec` for the batch's pool recycle. Returns
+    /// whether more than one thread's log was on the chain (site-profile
+    /// cross-thread evidence).
+    fn drain_chain(&self, chain: LogChain, rec: &mut RetireBatch) -> bool {
+        let mut cur = chain.0;
         let mut first_tid = 0u64;
         let mut cross = false;
         while !cur.is_null() {
             // SAFETY: the chain was detached from its record with a
-            // `swap`, making this sweep its sole owner; logs are
+            // `swap`, making this walk its sole owner; logs are
             // pool-owned type-stable memory.
             let log = unsafe { &*cur };
-            // Site-profile evidence: more than one thread's log on the
-            // chain means cross-thread pointers existed.
             let tid = log.thread_id.load(Ordering::Acquire);
             if first_tid == 0 {
                 first_tid = tid;
             } else if tid != first_tid {
                 cross = true;
             }
-            log.for_each_location(|loc| locs.push(loc));
+            log.for_each_location(|loc| rec.locs.push(loc));
             let next = log.next.load(Ordering::Acquire);
             log.reset();
-            self.log_pool.recycle(log);
+            rec.logs.push(log);
             cur = next;
         }
-        let walked = locs.len() as u64;
-        locs.sort_unstable();
-        locs.dedup();
-        let unique = locs.len() as u64;
-        // Count the page runs first: the common small sweep (at most
-        // [`SPLIT_PAGES`] runs) goes straight to the single-part walk
-        // below and never allocates a boundary list.
-        let mut runs = 0usize;
-        let mut i = 0;
-        while i < locs.len() {
-            let page_base = locs[i] & !(PAGE_SIZE - 1);
-            let mut j = i + 1;
-            while j < locs.len() && locs[j] & !(PAGE_SIZE - 1) == page_base {
-                j += 1;
-            }
-            runs += 1;
-            i = j;
-        }
-        if runs > SPLIT_PAGES {
-            // Page-run boundaries (indices into `locs` where a new page
-            // starts), grouped [`SPLIT_PAGES`] runs per part.
-            let mut boundaries = vec![0usize];
-            let mut runs_in_part = 0usize;
-            let mut i = 0;
-            while i < locs.len() {
-                let page_base = locs[i] & !(PAGE_SIZE - 1);
-                let mut j = i + 1;
-                while j < locs.len() && locs[j] & !(PAGE_SIZE - 1) == page_base {
-                    j += 1;
-                }
-                runs_in_part += 1;
-                if runs_in_part == SPLIT_PAGES {
-                    boundaries.push(j);
-                    runs_in_part = 0;
-                }
-                i = j;
-            }
-            if *boundaries.last().expect("seeded with 0") != locs.len() {
-                boundaries.push(locs.len());
-            }
-            let parts = boundaries.len() - 1;
-            let batch = Arc::new(SweepBatch {
-                locs: std::mem::take(&mut locs),
-                base: obj.base,
-                end: obj.end,
-                obj_id: obj.obj_id,
-                bytes: obj.bytes,
-                covered: obj.covered,
-                meta: obj.meta,
-                walked,
-                cross,
-                remaining: AtomicUsize::new(parts),
-                invalidated: AtomicU64::new(0),
-                stale: AtomicU64::new(0),
-                skipped: AtomicU64::new(0),
-                pages: AtomicU64::new(0),
-            });
-            self.scratch.recycle(locs); // the emptied buffer goes back
-            let queue = self.sweep.as_ref().expect("split sweeps are deferred");
-            self.stats
-                .sweep_splits
-                .fetch_add((parts - 1) as u64, Ordering::Relaxed);
-            for part in 1..parts {
-                queue.push_part(Arc::clone(&batch), boundaries[part], boundaries[part + 1]);
-            }
-            // Run the first slice here; the last part to finish retires
-            // the object.
-            self.run_part_sweep(&batch, boundaries[0], boundaries[1], mode);
-            return;
-        }
-        let span = self.trace.span_start(TraceLevel::Full);
-        let mut report = InvalidationReport::default();
+        cross
+    }
+
+    /// Invalidates a sorted, deduped location buffer against the
+    /// inclusive range `[lo, hi]` page by page: sorting put each page's
+    /// locations in one contiguous run, so one translation serves the
+    /// whole run — and an unmapped page is discovered once, not once per
+    /// location. Returns the pages touched.
+    fn sweep_sorted(
+        &self,
+        locs: &[Addr],
+        lo: Addr,
+        hi: Addr,
+        report: &mut InvalidationReport,
+    ) -> u64 {
         let mut pages = 0u64;
         let mut i = 0;
         while i < locs.len() {
@@ -978,17 +930,96 @@ impl DangSan {
                 j += 1;
             }
             pages += 1;
-            self.sweep_page_run(&locs[i..j], obj.base, obj.end, &mut report);
+            self.sweep_page_run(&locs[i..j], lo, hi, report);
             i = j;
         }
-        self.scratch.recycle(locs);
+        pages
+    }
+
+    /// The free walk of one object, inline or deferred: drain the
+    /// detached chain, sort + dedup (collapsing cross-thread repeats plus
+    /// same-thread repeats the lookback window missed, so each location
+    /// is classified exactly once), and invalidate page by page — or, in
+    /// deferred mode, when the walk spans more than [`SPLIT_PAGES`] page
+    /// runs, split it into page-aligned parts so one giant object cannot
+    /// stall a sweeper (idle helpers steal the parts and share the walk).
+    /// Returns the object's outcome; a split object reports nothing here,
+    /// its last part retires it.
+    fn run_object_sweep(
+        &self,
+        obj: ObjectSweep,
+        mode: u64,
+        rec: &mut RetireBatch,
+    ) -> InvalidationReport {
+        let cross = self.drain_chain(obj.logs, rec);
+        let walked = rec.locs.len() as u64;
+        rec.locs.sort_unstable();
+        rec.locs.dedup();
+        let unique = rec.locs.len() as u64;
+        if let Some(queue) = self.sweep.as_ref() {
+            // Page-run boundaries (indices into `locs` where a new page
+            // starts), grouped [`SPLIT_PAGES`] runs per part. The common
+            // small sweep never gets past the first part and goes
+            // straight to the single-part walk below.
+            let locs = &rec.locs;
+            let mut boundaries = Vec::new();
+            let mut runs_in_part = 0usize;
+            let mut i = 0;
+            while i < locs.len() {
+                let page_base = locs[i] & !(PAGE_SIZE - 1);
+                let mut j = i + 1;
+                while j < locs.len() && locs[j] & !(PAGE_SIZE - 1) == page_base {
+                    j += 1;
+                }
+                if runs_in_part == SPLIT_PAGES {
+                    boundaries.push(i);
+                    runs_in_part = 0;
+                }
+                runs_in_part += 1;
+                i = j;
+            }
+            if !boundaries.is_empty() {
+                boundaries.insert(0, 0);
+                boundaries.push(locs.len());
+                let parts = boundaries.len() - 1;
+                let batch = Arc::new(SweepBatch {
+                    locs: std::mem::take(&mut rec.locs),
+                    base: obj.base,
+                    end: obj.end,
+                    obj_id: obj.obj_id,
+                    bytes: obj.bytes,
+                    covered: obj.covered,
+                    meta: obj.meta,
+                    walked,
+                    cross,
+                    remaining: AtomicUsize::new(parts),
+                    invalidated: AtomicU64::new(0),
+                    stale: AtomicU64::new(0),
+                    skipped: AtomicU64::new(0),
+                    pages: AtomicU64::new(0),
+                });
+                Stats::add(&self.stats.sweep_splits, (parts - 1) as u64);
+                for part in 1..parts {
+                    queue.push_part(Arc::clone(&batch), boundaries[part], boundaries[part + 1]);
+                }
+                // Run the first slice here; the last part to finish
+                // retires the object.
+                self.run_part_sweep(&batch, boundaries[0], boundaries[1], mode, rec);
+                return InvalidationReport::default();
+            }
+        }
+        let span = self.trace.span_start(TraceLevel::Full);
+        let mut report = InvalidationReport::default();
+        let pages = self.sweep_sorted(&rec.locs, obj.base, obj.end, &mut report);
+        rec.locs.clear();
         self.trace.span_end(
             span,
             EventCode::FreeSweep,
             obj.obj_id,
             pack_sweep_mode(walked, pages, mode),
         );
-        self.finish_sweep(
+        self.retire_into(
+            rec,
             SweepRetire {
                 base: obj.base,
                 obj_id: obj.obj_id,
@@ -1004,28 +1035,25 @@ impl DangSan {
             },
             &report,
         );
+        report
     }
 
     /// Invalidates one page-aligned slice `[start, end)` of a split
     /// sweep's sorted location buffer, folding the outcome into the
     /// shared batch. The part that empties `remaining` retires the
     /// object with the accumulated totals.
-    fn run_part_sweep(&self, batch: &Arc<SweepBatch>, start: usize, end: usize, mode: u64) {
+    fn run_part_sweep(
+        &self,
+        batch: &Arc<SweepBatch>,
+        start: usize,
+        end: usize,
+        mode: u64,
+        rec: &mut RetireBatch,
+    ) {
         let span = self.trace.span_start(TraceLevel::Full);
         let locs = &batch.locs[start..end];
         let mut report = InvalidationReport::default();
-        let mut pages = 0u64;
-        let mut i = 0;
-        while i < locs.len() {
-            let page_base = locs[i] & !(PAGE_SIZE - 1);
-            let mut j = i + 1;
-            while j < locs.len() && locs[j] & !(PAGE_SIZE - 1) == page_base {
-                j += 1;
-            }
-            pages += 1;
-            self.sweep_page_run(&locs[i..j], batch.base, batch.end, &mut report);
-            i = j;
-        }
+        let pages = self.sweep_sorted(locs, batch.base, batch.end, &mut report);
         self.trace.span_end(
             span,
             EventCode::FreeSweep,
@@ -1046,7 +1074,8 @@ impl DangSan {
                 stale: batch.stale.load(Ordering::Acquire),
                 skipped_unmapped: batch.skipped.load(Ordering::Acquire),
             };
-            self.finish_sweep(
+            self.retire_into(
+                rec,
                 SweepRetire {
                     base: batch.base,
                     obj_id: batch.obj_id,
@@ -1065,18 +1094,21 @@ impl DangSan {
         }
     }
 
-    /// Retires one swept object: bulk-adds its counters (identical
-    /// values to the inline walk's), records the lifecycle event, tears
-    /// down the shadow mapping and recycles the metadata record (both
-    /// deferred off the free hook), hands the quarantined block back to
-    /// the heap, and releases the quarantine charge. The teardown must
-    /// precede the requeue — a reallocation of this range must find
-    /// cleared shadow slots, not the dying record — and the requeue must
-    /// precede the charge drop: once `pending` hits zero a
-    /// [`DangSan::drain`] may return, and its contract is that every
-    /// quarantined block is circulating again.
-    fn finish_sweep(&self, retire: SweepRetire, shape: SweepShape, report: &InvalidationReport) {
-        self.account_report(report);
+    /// Retires one swept object into `rec`: its per-free counters, its
+    /// lifecycle event, its site evidence and its shadow teardown run
+    /// here; its record recycle, its block's requeue and its quarantine
+    /// charge go into the batch for [`DangSan::apply_retire`]. The shadow
+    /// teardown therefore precedes the requeue (a reallocation of this
+    /// range must find cleared shadow slots, not the dying record), and
+    /// site/tier are read before the record is recycled.
+    fn retire_into(
+        &self,
+        rec: &mut RetireBatch,
+        retire: SweepRetire,
+        shape: SweepShape,
+        report: &InvalidationReport,
+    ) {
+        rec.report = rec.report.merge(*report);
         self.stats.bump_hot_by(&[
             (Hot::FreeLocsWalked, shape.walked),
             (Hot::FreeDupLocs, shape.walked - shape.unique),
@@ -1091,10 +1123,8 @@ impl DangSan {
             report.invalidated,
         );
         // SAFETY: records are pool-owned type-stable memory, and from
-        // detach to retire this sweep was the record's sole owner.
+        // detach to retire this walk was the record's sole owner.
         let meta = unsafe { &*retire.meta.0 };
-        // Site/tier must be read before the recycle hands the record to
-        // the next allocation.
         let site = meta.site.load(Ordering::Relaxed);
         let tier = meta.tier.load(Ordering::Relaxed);
         if let Some(policy) = &self.policy {
@@ -1105,31 +1135,59 @@ impl DangSan {
             policy.note_free(site, shape.unique, shape.cross, lifetime);
         }
         self.map.clear_object(retire.base, retire.covered);
-        self.meta_pool.recycle(meta);
-        if let Some(heap) = self.heap.lock().expect("not poisoned").upgrade() {
-            // Hardened tier: the swept block takes a detour through the
-            // pin FIFO — already retired (its charge is released below,
-            // so drains never wait on it) but not yet allocatable, so a
-            // dangling pointer to a previously-reported site keeps
-            // trapping for longer. The FIFO evicts oldest-first at cap.
-            let pin_cap = self.cfg.hardened_pin_objects;
-            let pin_queue = self
-                .sweep
-                .as_ref()
-                .filter(|_| tier == Tier::Hardened as u64 && pin_cap > 0);
-            match pin_queue {
-                Some(queue) => {
-                    Stats::bump(&self.stats.hardened_pins);
-                    if let Some(evicted) = queue.pin_block(retire.base, pin_cap) {
-                        heap.requeue_batch(&[evicted]);
+        rec.metas.push(retire.meta);
+        if self.sweep.is_some() {
+            // Only a deferred free's block sits in quarantine: the
+            // synchronous free path hands the block back itself.
+            let pin = tier == Tier::Hardened as u64 && self.cfg.hardened_pin_objects > 0;
+            rec.blocks.push((retire.base, pin));
+            rec.objects += 1;
+            rec.bytes += retire.bytes;
+        }
+    }
+
+    /// Applies a batch's retire record and leaves it empty: one bulk
+    /// counter update, one lock per pool for the logs and records, one
+    /// heap lock and upgrade for the blocks' requeues, then one charge
+    /// release. The requeues precede the charge drop: once `pending` hits
+    /// zero a [`DangSan::drain`] may return, and its contract is that
+    /// every quarantined block is circulating again.
+    fn apply_retire(&self, rec: &mut RetireBatch) {
+        self.account_report(&std::mem::take(&mut rec.report));
+        // SAFETY (both recycles): logs and records are pool-owned
+        // type-stable memory, and the batch is their sole owner.
+        self.log_pool
+            .recycle_all(rec.logs.drain(..).map(|log| unsafe { &*log }));
+        self.meta_pool
+            .recycle_all(rec.metas.drain(..).map(|meta| unsafe { &*meta.0 }));
+        if !rec.blocks.is_empty() {
+            if let Some(heap) = self.heap.lock().expect("not poisoned").upgrade() {
+                for (base, pin) in rec.blocks.drain(..) {
+                    // Hardened tier: the swept block takes a detour through
+                    // the pin FIFO — already retired (its charge is released
+                    // below, so drains never wait on it) but not yet
+                    // allocatable, so a dangling pointer to a
+                    // previously-reported site keeps trapping for longer.
+                    // The FIFO evicts oldest-first at cap.
+                    if pin {
+                        Stats::bump(&self.stats.hardened_pins);
+                        let queue = self.sweep.as_ref().expect("only deferred frees pin");
+                        let cap = self.cfg.hardened_pin_objects;
+                        if let Some(evicted) = queue.pin_block(base, cap) {
+                            heap.requeue_batch(&[evicted]);
+                        }
+                    } else {
+                        heap.requeue_batch(&[base]);
                     }
                 }
-                None => heap.requeue_batch(&[retire.base]),
             }
+            rec.blocks.clear();
         }
         if let Some(queue) = self.sweep.as_ref() {
-            queue.retire_object(retire.bytes);
+            queue.retire_objects(rec.objects, rec.bytes);
         }
+        rec.objects = 0;
+        rec.bytes = 0;
     }
 
     /// Blocks until every deferred sweep enqueued so far has retired,
@@ -1144,7 +1202,7 @@ impl DangSan {
         };
         loop {
             if let Some((job, _)) = queue.pop(SweepQueue::home_shard()) {
-                self.run_sweep_job(job, SWEEP_MODE_INLINE);
+                self.run_jobs([job], SWEEP_MODE_INLINE);
                 continue;
             }
             if queue.pending() == 0 {
@@ -1217,7 +1275,7 @@ fn sweep_worker(det: Weak<DangSan>, queue: Arc<SweepQueue>) {
                 } else {
                     SWEEP_MODE_DEFERRED
                 };
-                det.run_sweep_job(job, mode);
+                det.run_jobs([job], mode);
             }
             None => {
                 if queue.stopping() {
@@ -1234,23 +1292,13 @@ impl Drop for DangSan {
         let Some(queue) = self.sweep.clone() else {
             return;
         };
-        // Stop the helpers, finish whatever is still quarantined inline,
-        // then join. A worker's transient upgrade can make it the thread
-        // running this drop — joining every handle but our own covers
-        // that case (the skipped worker exits right after).
+        // Stop the helpers, finish whatever is still quarantined inline
+        // (flushing the pins), then join. A worker's transient upgrade
+        // can make it the thread running this drop — joining every
+        // handle but our own covers that case (the skipped worker exits
+        // right after).
         queue.request_stop();
-        loop {
-            match queue.pop(SweepQueue::home_shard()) {
-                Some((job, _)) => self.run_sweep_job(job, SWEEP_MODE_INLINE),
-                None => {
-                    if queue.pending() == 0 {
-                        break;
-                    }
-                    queue.wait_for_retire_or_work();
-                }
-            }
-        }
-        self.flush_pins(&queue);
+        self.drain();
         let workers = std::mem::take(&mut *self.workers.lock().expect("not poisoned"));
         let me = std::thread::current().id();
         for handle in workers {
@@ -1309,7 +1357,6 @@ impl Detector for DangSan {
     }
 
     fn on_free(&self, base: Addr) -> InvalidationReport {
-        let mut report = InvalidationReport::default();
         let Some(meta) = self.ptr2obj_cold(base) else {
             // With deferred sweeping the heap quarantined the block before
             // calling in; an untracked base enqueues no sweep job, so the
@@ -1319,7 +1366,7 @@ impl Detector for DangSan {
                     heap.requeue_batch(&[base]);
                 }
             }
-            return report;
+            return InvalidationReport::default();
         };
         // Retire this object's epoch before any of its logs are detached
         // or recycled: every cache slot keyed on (this record, old epoch)
@@ -1367,89 +1414,14 @@ impl Detector for DangSan {
             // [`DangSan::drain`]).
             return self.defer_free(meta, base, obj_id, LogChain(chain));
         }
-        let sweep = self.trace.span_start(TraceLevel::Full);
-        // Drain every tier of every thread's log into one pooled scratch
-        // buffer (no host allocation in steady state), recycling each
-        // drained log on the way...
-        let mut locs = self.scratch.take();
-        let mut cur = chain;
-        let mut first_tid = 0u64;
-        let mut cross = false;
-        while !cur.is_null() {
-            // SAFETY: the chain was just detached with a `swap`, making
-            // this free its sole owner; logs are pool-owned and
-            // type-stable.
-            let log = unsafe { &*cur };
-            let tid = log.thread_id.load(Ordering::Acquire);
-            if first_tid == 0 {
-                first_tid = tid;
-            } else if tid != first_tid {
-                cross = true;
-            }
-            log.for_each_location(|loc| locs.push(loc));
-            let next = log.next.load(Ordering::Acquire);
-            log.reset();
-            self.log_pool.recycle(log);
-            cur = next;
-        }
-        let walked = locs.len() as u64;
-        // ...then collapse duplicates (cross-thread repeats plus
-        // same-thread repeats the lookback window missed) so each
-        // location is classified exactly once...
-        locs.sort_unstable();
-        locs.dedup();
-        let unique = locs.len() as u64;
-        // ...and invalidate page by page: sorting put each page's
-        // locations in one contiguous run, so one translation serves the
-        // whole run — and an unmapped page is discovered once, not once
-        // per location.
-        let lo = meta.base.load(Ordering::Acquire);
-        let hi = meta.end.load(Ordering::Acquire);
-        let mut pages = 0u64;
-        let mut i = 0;
-        while i < locs.len() {
-            let page_base = locs[i] & !(PAGE_SIZE - 1);
-            let mut j = i + 1;
-            while j < locs.len() && locs[j] & !(PAGE_SIZE - 1) == page_base {
-                j += 1;
-            }
-            pages += 1;
-            self.sweep_page_run(&locs[i..j], lo, hi, &mut report);
-            i = j;
-        }
-        self.account_report(&report);
-        self.stats.bump_hot_by(&[
-            (Hot::FreeLocsWalked, walked),
-            (Hot::FreeDupLocs, walked - unique),
-            (Hot::FreePagesTouched, pages),
-            (Hot::free_hist_bucket(walked), 1),
-        ]);
-        self.trace.span_end(
-            sweep,
-            EventCode::FreeSweep,
-            obj_id,
-            pack_sweep_mode(walked, pages, SWEEP_MODE_INLINE),
-        );
-        self.scratch.recycle(locs);
-        // Tear down: record the site evidence, clear the shadow mapping,
-        // recycle the record (the logs went back during the drain above).
-        let covered = meta.covered.load(Ordering::Acquire);
-        let obj_base = meta.base.load(Ordering::Acquire);
-        if let Some(policy) = &self.policy {
-            let site = meta.site.load(Ordering::Relaxed);
-            let lifetime = meta.epoch.load(Ordering::Relaxed).saturating_sub(obj_id);
-            policy.note_free(site, unique, cross, lifetime);
-        }
-        self.map.clear_object(obj_base, covered);
-        self.meta_pool.recycle(meta);
+        // Synchronous mode: the deferred sweeps' walk and retire record,
+        // run to completion here as a batch of one.
         Stats::bump(&self.stats.objects_freed);
-        self.trace.record(
-            TraceLevel::Lifecycles,
-            EventCode::ObjectFree,
-            obj_base,
-            obj_id,
-            report.invalidated,
-        );
+        let mut rec = self.scratch.take();
+        let job = self.object_sweep(meta, obj_id, LogChain(chain));
+        let report = self.run_object_sweep(job, SWEEP_MODE_INLINE, &mut rec);
+        self.apply_retire(&mut rec);
+        self.scratch.recycle(rec);
         report
     }
 

@@ -567,8 +567,17 @@ mod tests {
                 .with_deferred_sweep(true)
                 .with_sweep_threads(0),
         ));
+        // Caps small enough to trip: the frees themselves help-drain, so
+        // most sweeps retire in backpressure batches.
+        let pressed = run_sequence(matrix_site_policy(
+            Config::default()
+                .with_deferred_sweep(true)
+                .with_sweep_threads(0)
+                .with_quarantine_caps(4 << 10, 16),
+        ));
         assert_eq!(inline, helped, "helper-thread sweep diverged");
         assert_eq!(inline, solo, "drain-driven sweep diverged");
+        assert_eq!(inline, pressed, "backpressure-batch sweep diverged");
     }
 
     #[test]
@@ -608,18 +617,28 @@ mod tests {
 
     #[test]
     fn no_stale_pointer_escapes_the_quarantine_window() {
-        // Cross-thread stress: threads churn malloc/store/free with the
-        // sweep racing them on helpers, under caps small enough to trip
-        // backpressure. At every point after a free the slot may hold
-        // the raw or the masked pointer but never anything else (a sweep
-        // of one object must not clobber another's pointers), and after
-        // the final drain every last-stored pointer is masked.
+        // Once with the sweep racing the mutators on helpers, once with
+        // zero helpers, where the freeing threads' backpressure batches
+        // do all the sweeping until the final drain.
+        let helpers = matrix_sweep_threads();
+        check_quarantine_window(helpers);
+        if helpers != 0 {
+            check_quarantine_window(0);
+        }
+    }
+
+    /// Cross-thread stress: threads churn malloc/store/free under caps
+    /// small enough to trip backpressure. At every point after a free the
+    /// slot may hold the raw or the masked pointer but never anything
+    /// else (a sweep of one object must not clobber another's pointers),
+    /// and after the final drain every last-stored pointer is masked.
+    fn check_quarantine_window(sweep_threads: usize) {
         const THREADS: u64 = 4;
         const ROUNDS: u64 = 300;
         let hh = setup_with(
             Config::default()
                 .with_deferred_sweep(true)
-                .with_sweep_threads(matrix_sweep_threads())
+                .with_sweep_threads(sweep_threads)
                 .with_quarantine_caps(4 << 10, 16),
         );
         let slots = hh.malloc(8 * THREADS).unwrap();
@@ -651,14 +670,14 @@ mod tests {
             assert_eq!(
                 hh.mem().read_word(slots.base + t as u64 * 8).unwrap(),
                 last | INVALID_BIT,
-                "thread {t}: final pointer escaped invalidation"
+                "{sweep_threads} helpers, thread {t}: final pointer escaped invalidation"
             );
         }
         let s = hh.detector().stats();
         assert_eq!(s.frees_deferred, THREADS * ROUNDS);
         assert!(
             s.sweeps_backpressure > 0,
-            "16-object cap never tripped over {} frees",
+            "{sweep_threads} helpers: 16-object cap never tripped over {} frees",
             THREADS * ROUNDS
         );
     }
@@ -796,28 +815,47 @@ mod tests {
 
     #[test]
     fn hardened_site_pins_swept_blocks_and_drain_flushes_them() {
-        let hh = setup_with(
-            Config::default()
+        // Once at the default caps, where the drain sweeps the lone
+        // object, and once at caps the frees trip, so the backpressure
+        // batches pin the blocks and overflow the 8-block FIFO.
+        for (objects, caps) in [(1u64, None), (64, Some((4u64 << 10, 16u64)))] {
+            let mut cfg = Config::default()
                 .with_site_policy(true)
                 .with_deferred_sweep(true)
                 .with_sweep_threads(0)
-                .with_hardened_pins(8),
-        );
-        hh.heap().set_thread_cached(false);
-        dangsan_trace::set_alloc_site(0x91);
-        // Forensics hands prior UAF evidence to the profile table; every
-        // later allocation at the site routes Hardened.
-        hh.detector().site_policy().unwrap().note_uaf(0x91);
-        let obj = hh.malloc(48).unwrap();
-        hh.free(obj.base).unwrap();
-        hh.detector().drain();
-        let s = hh.detector().stats();
-        assert!(s.routed_hardened >= 1, "UAF history did not harden site");
-        assert!(s.hardened_pins >= 1, "swept block was never pinned");
-        // The drain flushed the pin FIFO: the block circulates again.
-        let reused = (0..10_000).any(|_| hh.malloc(48).unwrap().base == obj.base);
-        assert!(reused, "pinned block never returned after drain");
-        dangsan_trace::set_alloc_site(0);
+                .with_hardened_pins(8);
+            if let Some((bytes, count)) = caps {
+                cfg = cfg.with_quarantine_caps(bytes, count);
+            }
+            let hh = setup_with(cfg);
+            hh.heap().set_thread_cached(false);
+            dangsan_trace::set_alloc_site(0x91);
+            // Forensics hands prior UAF evidence to the profile table;
+            // every later allocation at the site routes Hardened.
+            hh.detector().site_policy().unwrap().note_uaf(0x91);
+            let objs: Vec<Addr> = (0..objects).map(|_| hh.malloc(48).unwrap().base).collect();
+            for &base in &objs {
+                hh.free(base).unwrap();
+            }
+            hh.detector().drain();
+            let s = hh.detector().stats();
+            assert_eq!(
+                s.routed_hardened, objects,
+                "UAF history did not harden site"
+            );
+            assert_eq!(s.hardened_pins, objects, "a swept block skipped its pin");
+            assert_eq!(s.sweeps_backpressure > 0, caps.is_some(), "caps={caps:?}");
+            // The drain flushed the pin FIFO: every block circulates again.
+            let mut back: Vec<Addr> = (0..10_000).map(|_| hh.malloc(48).unwrap().base).collect();
+            back.sort_unstable();
+            for base in &objs {
+                assert!(
+                    back.binary_search(base).is_ok(),
+                    "pinned block {base:#x} never returned after drain (caps={caps:?})"
+                );
+            }
+            dangsan_trace::set_alloc_site(0);
+        }
     }
 
     #[test]

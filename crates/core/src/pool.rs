@@ -13,13 +13,21 @@
 //!
 //! Each pool is a mutex-guarded free list, not a lock-free stack: an
 //! untagged lock-free stack can hand one record to two owners through
-//! ABA. The lock is taken once per malloc and free, and once per new
-//! thread log, but not on the store path's log append.
+//! ABA. The lock is taken once per malloc and once per new thread log,
+//! but not on the store path's log append. A retiring batch of sweeps
+//! parks all of its records and logs through [`Pool::recycle_all`], one
+//! lock per pool per batch.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// A free list of `T` records with type-stable backing memory.
+///
+/// Cache-line aligned: every thread's malloc and free writes the lock,
+/// and a pool sharing a line with the detector's read-mostly fields (the
+/// store path reads its id, config and shadow map on every store) made
+/// each of those writes evict that line from the other threads' caches.
+#[repr(align(64))]
 pub struct Pool<T> {
     /// Records parked by `recycle`, ready for `take`.
     free: Mutex<Vec<*mut T>>,
@@ -80,6 +88,16 @@ impl<T: Default> Pool<T> {
         self.free.lock().expect("not poisoned").push(raw);
     }
 
+    /// Parks a batch of records under one lock acquisition: the batched
+    /// twin of [`Pool::recycle`], with the same contract for each record.
+    pub fn recycle_all<'a>(&self, items: impl IntoIterator<Item = &'a T>)
+    where
+        T: 'a,
+    {
+        let mut free = self.free.lock().expect("not poisoned");
+        free.extend(items.into_iter().map(|item| item as *const T as *mut T));
+    }
+
     /// Host bytes backing all records ever allocated from this pool.
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
@@ -91,65 +109,49 @@ impl<T: Default> Pool<T> {
     }
 }
 
-/// A pool of reusable `Vec<u64>` scratch buffers for the free path's
-/// batched invalidation walk.
+/// A pool of reusable scratch records, moved out by value and back.
 ///
-/// `on_free` drains every tier of every thread's log into one flat buffer
-/// before sorting and page-grouping it; allocating that buffer per free
-/// would put the host allocator on the free path, which is exactly what
-/// the detector's own pools exist to avoid. Buffers keep their capacity
-/// across frees, so a steady-state workload reaches its high-water mark
-/// once and never allocates again. Like [`Pool`], it is a mutex-guarded
-/// `Vec`: the lock is taken once per *free*, not per pointer, and the
-/// critical section is a `Vec::pop`/`push`.
-pub struct ScratchPool {
-    bufs: Mutex<Vec<Vec<u64>>>,
-    /// Capacity bytes across the buffers currently parked (for memory
-    /// accounting; a buffer out on loan is counted by its borrower's
-    /// stack, not here).
-    bytes: AtomicU64,
+/// The free path's retire record (`crate::sweep::RetireBatch`: the walk's
+/// location buffer plus the batch's pending teardown) lives here between
+/// uses. Allocating it per free would put the host allocator on the free
+/// path, which is exactly what the detector's own pools exist to avoid;
+/// records keep their buffers' capacity across round trips, so a
+/// steady-state workload reaches its high-water mark once and never
+/// allocates again. Like [`Pool`], it is a mutex-guarded `Vec`: the lock is
+/// taken once per batch of sweeps (or per inline free), and the critical
+/// section is a `Vec::pop`/`push`. Cache-line aligned like [`Pool`].
+#[repr(align(64))]
+pub struct ScratchPool<T> {
+    parked: Mutex<Vec<T>>,
 }
 
-impl Default for ScratchPool {
+impl<T: Default> Default for ScratchPool<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl ScratchPool {
+impl<T: Default> ScratchPool<T> {
     /// Creates an empty scratch pool.
     pub fn new() -> Self {
         ScratchPool {
-            bufs: Mutex::new(Vec::new()),
-            bytes: AtomicU64::new(0),
+            parked: Mutex::new(Vec::new()),
         }
     }
 
-    /// Takes an empty buffer, reusing a parked one's capacity if possible.
-    pub fn take(&self) -> Vec<u64> {
-        let mut bufs = self.bufs.lock().expect("not poisoned");
-        match bufs.pop() {
-            Some(buf) => {
-                self.bytes
-                    .fetch_sub(buf.capacity() as u64 * 8, Ordering::Relaxed);
-                buf
-            }
-            None => Vec::new(),
-        }
+    /// Takes a parked record, or a fresh default one when none is parked.
+    pub fn take(&self) -> T {
+        self.parked
+            .lock()
+            .expect("not poisoned")
+            .pop()
+            .unwrap_or_default()
     }
 
-    /// Parks a buffer for reuse; its contents are discarded, its capacity
-    /// kept.
-    pub fn recycle(&self, mut buf: Vec<u64>) {
-        buf.clear();
-        self.bytes
-            .fetch_add(buf.capacity() as u64 * 8, Ordering::Relaxed);
-        self.bufs.lock().expect("not poisoned").push(buf);
-    }
-
-    /// Host bytes parked in the pool right now.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+    /// Parks a record for reuse. The caller empties it first; whatever
+    /// capacity it holds is kept for the next `take`.
+    pub fn recycle(&self, record: T) {
+        self.parked.lock().expect("not poisoned").push(record);
     }
 }
 
@@ -197,18 +199,39 @@ mod tests {
     }
 
     #[test]
+    fn recycle_all_parks_records_for_reuse() {
+        let pool: Pool<Rec> = Pool::new();
+        let taken: Vec<&Rec> = (0..3).map(|_| pool.take()).collect();
+        let mut ptrs: Vec<*const Rec> = taken.iter().map(|r| *r as *const Rec).collect();
+        let bytes = pool.bytes();
+        pool.recycle_all(taken);
+        let mut back: Vec<*const Rec> = (0..3).map(|_| pool.take() as *const Rec).collect();
+        ptrs.sort();
+        back.sort();
+        assert_eq!(back, ptrs, "every parked record comes back");
+        assert_eq!(pool.allocated(), 3, "no record was boxed afresh");
+        assert_eq!(pool.bytes(), bytes);
+        pool.recycle_all(std::iter::empty());
+        assert_eq!(pool.allocated(), 3);
+    }
+
+    #[test]
     fn scratch_pool_reuses_capacity() {
-        let pool = ScratchPool::new();
+        let pool: ScratchPool<Vec<u64>> = ScratchPool::new();
         let mut a = pool.take();
         assert!(a.is_empty());
         a.extend(0..1000);
         let cap = a.capacity();
+        a.clear();
         pool.recycle(a);
-        assert_eq!(pool.bytes(), cap as u64 * 8);
         let b = pool.take();
-        assert!(b.is_empty(), "recycled buffers come back cleared");
+        assert!(b.is_empty(), "recycled records come back as parked");
         assert_eq!(b.capacity(), cap, "capacity survives the round trip");
-        assert_eq!(pool.bytes(), 0);
+        assert_eq!(
+            pool.take().capacity(),
+            0,
+            "an empty pool hands out defaults"
+        );
     }
 
     /// Rounds per thread in the ABA stress below: bounded for the default

@@ -14,6 +14,25 @@
 //! *objects* (not queue entries: a large sweep split page-wise stays one
 //! pending object until its last part finishes), which is what both the
 //! backpressure caps and `drain` wait on.
+//!
+//! Sweeps retire a batch at a time. Each object keeps its own walk, sort
+//! and invalidation, its shadow teardown (`clear_object`), its trace
+//! events and its per-free counters; what every object would otherwise
+//! touch in shared state goes into a [`RetireBatch`] instead, applied
+//! once per batch: one bulk counter update, one lock each on the log and
+//! metadata pools, one heap lock and upgrade (then each block's requeue,
+//! Hardened pin detours included), and one [`SweepQueue::retire_objects`]
+//! charge release. A backpressure drain retires up to a popped batch of
+//! jobs this way; `drain`, the helper threads and the synchronous free
+//! use the same record with a batch of one. Three orderings hold:
+//!
+//! 1. every object's shadow teardown runs before its block's requeue, so
+//!    a reallocation of the range finds cleared shadow slots;
+//! 2. every requeue runs before the charge drops: once `pending` reaches
+//!    zero a `drain` may return, and its contract is that every
+//!    quarantined block circulates again;
+//! 3. each record's site and tier are read before the record is recycled
+//!    (recycling is what hands it to the next allocation).
 
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::collections::VecDeque;
@@ -21,6 +40,7 @@ use std::sync::{Condvar, Mutex};
 
 use dangsan_vmem::Addr;
 
+use crate::api::InvalidationReport;
 use crate::log::ThreadLog;
 use crate::object::ObjectMeta;
 
@@ -120,6 +140,34 @@ pub(crate) struct SweepBatch {
     /// Aggregate pages translated.
     pub pages: AtomicU64,
 }
+
+/// The shared-state teardown of a batch of retiring sweeps, pooled whole
+/// (see the module docs for what is batched and the orderings it keeps).
+/// Every field but `locs` is empty between batches.
+#[derive(Default)]
+pub(crate) struct RetireBatch {
+    /// Walk scratch: one object's drained locations at a time.
+    pub locs: Vec<u64>,
+    /// Drained and reset logs, awaiting one `recycle_all`.
+    pub logs: Vec<*const ThreadLog>,
+    /// Records whose shadow mapping is already cleared, awaiting one
+    /// `recycle_all`.
+    pub metas: Vec<MetaRef>,
+    /// Swept blocks to hand back to the heap, in retire order; the flag
+    /// marks a Hardened block that detours through the pin FIFO.
+    pub blocks: Vec<(Addr, bool)>,
+    /// The batch's summed walk outcome (one bulk counter update).
+    pub report: InvalidationReport,
+    /// Objects retired by the batch.
+    pub objects: u64,
+    /// Their quarantine charge in bytes.
+    pub bytes: u64,
+}
+
+// SAFETY: the raw log pointers name pool-owned type-stable memory that
+// outlives every record, and the batch holding them is their sole owner
+// from detach until `recycle_all` (the same argument as `LogChain`).
+unsafe impl Send for RetireBatch {}
 
 /// The sharded deferred-sweep queue (see the module docs).
 pub(crate) struct SweepQueue {
@@ -282,11 +330,15 @@ impl SweepQueue {
         None
     }
 
-    /// Retires one object: releases its quarantine charge and wakes any
-    /// `drain` waiting for the count to reach zero.
-    pub(crate) fn retire_object(&self, bytes: u64) {
+    /// Retires `objects` objects holding `bytes` in quarantine: releases
+    /// their charge in one update and wakes any `drain` waiting for the
+    /// count to reach zero. Retiring nothing is a no-op.
+    pub(crate) fn retire_objects(&self, objects: u64, bytes: u64) {
+        if objects == 0 {
+            return;
+        }
         self.pending_bytes.fetch_sub(bytes, Ordering::AcqRel);
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+        if self.pending.fetch_sub(objects, Ordering::AcqRel) == objects {
             let _g = self.sync.lock().expect("not poisoned");
             self.cv.notify_all();
         }
@@ -435,10 +487,10 @@ mod tests {
         }
         // Popping does not retire: the object is in flight, still pending.
         assert_eq!(q.pending(), 2);
-        q.retire_object(100);
+        q.retire_objects(1, 100);
         assert_eq!(q.pending(), 1);
         q.pop(home).expect("second job");
-        q.retire_object(50);
+        q.retire_objects(1, 50);
         assert_eq!(q.pending(), 0);
     }
 
@@ -453,8 +505,8 @@ mod tests {
         assert!(!q.over_cap());
         q.push_object(job(100));
         assert!(q.over_cap(), "200 quarantined bytes exceed the 120 cap");
-        q.retire_object(100);
-        q.retire_object(100);
+        q.retire_objects(1, 100);
+        q.retire_objects(1, 100);
         assert!(!q.over_cap());
     }
 
@@ -484,6 +536,35 @@ mod tests {
         assert!(q.take_pins().is_empty());
     }
 
+    #[test]
+    fn one_batch_retire_wakes_a_drain_waiting_on_three() {
+        let q = SweepQueue::new(1 << 20, 1024);
+        let home = SweepQueue::home_shard();
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            q.push_object(job(8));
+        }
+        q.pop_batch(home, 3, &mut out);
+        assert_eq!((out.len(), q.pending()), (3, 3));
+        q.retire_objects(0, 0);
+        assert_eq!((q.pending(), q.pending_bytes()), (3, 24), "0 is a no-op");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                // The queue is empty but three objects are in flight: this
+                // blocks until the batch retires.
+                while q.pending() != 0 {
+                    q.wait_for_retire_or_work();
+                }
+            });
+            while q.sleepers.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            q.retire_objects(3, 24);
+            waiter.join().unwrap();
+        });
+        assert_eq!((q.pending(), q.pending_bytes()), (0, 0));
+    }
+
     /// Rounds of the push-vs-retire stress below: bounded for the default
     /// test pass, long under `heavy-tests`.
     #[cfg(not(feature = "heavy-tests"))]
@@ -510,7 +591,7 @@ mod tests {
                     };
                     // A popped job stays charged until it retires.
                     early += (q.pending() == 0) as u64;
-                    q.retire_object(o.bytes);
+                    q.retire_objects(1, o.bytes);
                     retired.fetch_add(1, Ordering::Release);
                 }
                 early

@@ -61,6 +61,14 @@ impl DetectorKind {
     }
 }
 
+/// Reads one variable from the process environment: the `lookup` the
+/// binaries pass to the `*_env_overrides` functions. Tests pass a map
+/// instead, so none of them ever mutates the process environment that
+/// sibling tests read concurrently.
+pub fn process_env(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
 /// Environment-variable overrides for the deferred-sweep knobs, the CI
 /// matrix axis: `SWEEP_THREADS=0` forces the synchronous free path,
 /// `SWEEP_THREADS=N` (N > 0) turns the deferred sweep on with N helper
@@ -73,13 +81,15 @@ impl DetectorKind {
 /// apply it, because deferred sweeping changes observable timing (a load
 /// in the quarantine window reads the raw pointer until the sweep runs)
 /// and the detection tests rely on synchronous trap semantics.
-pub fn sweep_env_overrides(mut cfg: Config) -> Config {
-    if let Ok(v) = std::env::var("SWEEP_THREADS") {
+///
+/// Variables are read through `lookup` ([`process_env`] in the binaries).
+pub fn sweep_env_overrides(mut cfg: Config, lookup: impl Fn(&str) -> Option<String>) -> Config {
+    if let Some(v) = lookup("SWEEP_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             cfg = cfg.with_sweep_threads(n).with_deferred_sweep(n > 0);
         }
     }
-    if let Ok(v) = std::env::var("DEFERRED_SWEEP") {
+    if let Some(v) = lookup("DEFERRED_SWEEP") {
         cfg = cfg.with_deferred_sweep(v.trim() != "0");
     }
     cfg
@@ -92,20 +102,23 @@ pub fn sweep_env_overrides(mut cfg: Config) -> Config {
 /// sets the hardened quarantine-pin budget. Unset variables leave `cfg`
 /// untouched. Applied by the perf harnesses only, for the same reason as
 /// the sweep overrides: the detection tests pin their own configs.
-pub fn site_policy_env_overrides(mut cfg: Config) -> Config {
-    if let Ok(v) = std::env::var("SITE_POLICY") {
+pub fn site_policy_env_overrides(
+    mut cfg: Config,
+    lookup: impl Fn(&str) -> Option<String>,
+) -> Config {
+    if let Some(v) = lookup("SITE_POLICY") {
         match v.trim() {
             "on" | "1" => cfg = cfg.with_site_policy(true),
             "off" | "0" => cfg = cfg.with_site_policy(false),
             _ => {}
         }
     }
-    if let Ok(v) = std::env::var("THIN_MIN_FREES") {
+    if let Some(v) = lookup("THIN_MIN_FREES") {
         if let Ok(n) = v.trim().parse::<u64>() {
             cfg = cfg.with_thin_min_frees(n);
         }
     }
-    if let Ok(v) = std::env::var("HARDENED_PINS") {
+    if let Some(v) = lookup("HARDENED_PINS") {
         if let Ok(n) = v.trim().parse::<u64>() {
             cfg = cfg.with_hardened_pins(n);
         }
@@ -119,15 +132,15 @@ pub fn site_policy_env_overrides(mut cfg: Config) -> Config {
 /// sets the sampler cadence. Unset variables leave `cfg` untouched.
 /// Applied by the perf harnesses (so the CI `METRICS` matrix axis
 /// reaches them); the detection tests pin their own configs.
-pub fn metrics_env_overrides(mut cfg: Config) -> Config {
-    if let Ok(v) = std::env::var("METRICS") {
+pub fn metrics_env_overrides(mut cfg: Config, lookup: impl Fn(&str) -> Option<String>) -> Config {
+    if let Some(v) = lookup("METRICS") {
         match v.trim() {
             "on" | "1" => cfg = cfg.with_metrics(true),
             "off" | "0" => cfg = cfg.with_metrics(false),
             _ => {}
         }
     }
-    if let Ok(v) = std::env::var("METRICS_INTERVAL_MS") {
+    if let Some(v) = lookup("METRICS_INTERVAL_MS") {
         if let Ok(n) = v.trim().parse::<u64>() {
             cfg = cfg.with_metrics_interval_ms(n);
         }
@@ -142,11 +155,12 @@ pub fn metrics_env_overrides(mut cfg: Config) -> Config {
 /// unparsable variables leave `scheme` untouched. Applied by the perf
 /// harnesses only; the fuzz relation and detection tests pin their own
 /// widths and keys.
-pub fn tagging_env_overrides(scheme: TagScheme) -> TagScheme {
-    let bits = std::env::var("TAG_BITS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok());
-    let key = std::env::var("TAG_KEY").ok().and_then(|v| {
+pub fn tagging_env_overrides(
+    scheme: TagScheme,
+    lookup: impl Fn(&str) -> Option<String>,
+) -> TagScheme {
+    let bits = lookup("TAG_BITS").and_then(|v| v.trim().parse::<u32>().ok());
+    let key = lookup("TAG_KEY").and_then(|v| {
         let v = v.trim();
         u64::from_str_radix(v.strip_prefix("0x").unwrap_or(v), 16).ok()
     });
@@ -281,119 +295,119 @@ mod tests {
         let _ = shared_env(DetectorKind::FreeSentry);
     }
 
+    /// A `lookup` over a fixed variable map: the tests never touch the
+    /// process environment, so they cannot race tests that read it.
+    fn vars(pairs: &[(&str, &str)]) -> impl Fn(&str) -> Option<String> {
+        let map: std::collections::HashMap<String, String> = pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        move |name| map.get(name).cloned()
+    }
+
     #[test]
     fn sweep_env_overrides_follow_the_matrix_variables() {
-        // Single test covering all cases so the env-var mutation never
-        // races another assertion in this binary.
-        std::env::remove_var("SWEEP_THREADS");
-        std::env::remove_var("DEFERRED_SWEEP");
         let base = Config::default();
-        let cfg = sweep_env_overrides(base);
+        let cfg = sweep_env_overrides(base, vars(&[]));
         assert_eq!(cfg.deferred_sweep, base.deferred_sweep);
         assert_eq!(cfg.sweep_threads, base.sweep_threads);
 
-        std::env::set_var("SWEEP_THREADS", "2");
-        let cfg = sweep_env_overrides(Config::default());
+        let cfg = sweep_env_overrides(Config::default(), vars(&[("SWEEP_THREADS", "2")]));
         assert!(cfg.deferred_sweep);
         assert_eq!(cfg.sweep_threads, 2);
 
-        std::env::set_var("SWEEP_THREADS", "0");
-        let cfg = sweep_env_overrides(Config::default());
+        let cfg = sweep_env_overrides(Config::default(), vars(&[("SWEEP_THREADS", "0")]));
         assert!(!cfg.deferred_sweep);
         assert_eq!(cfg.sweep_threads, 0);
 
-        std::env::set_var("DEFERRED_SWEEP", "1");
-        let cfg = sweep_env_overrides(Config::default());
+        let cfg = sweep_env_overrides(
+            Config::default(),
+            vars(&[("SWEEP_THREADS", "0"), ("DEFERRED_SWEEP", "1")]),
+        );
         assert!(cfg.deferred_sweep, "DEFERRED_SWEEP wins over thread count");
         assert_eq!(cfg.sweep_threads, 0);
 
-        std::env::remove_var("SWEEP_THREADS");
-        std::env::remove_var("DEFERRED_SWEEP");
-
-        // Site-policy axis, same discipline (and same single-test rule).
+        // Site-policy axis.
         let base = Config::default();
-        let cfg = site_policy_env_overrides(base);
+        let cfg = site_policy_env_overrides(base, vars(&[]));
         assert_eq!(cfg.site_policy, base.site_policy);
         assert_eq!(cfg.thin_min_frees, base.thin_min_frees);
         assert_eq!(cfg.hardened_pin_objects, base.hardened_pin_objects);
 
-        std::env::set_var("SITE_POLICY", "on");
-        std::env::set_var("THIN_MIN_FREES", "8");
-        std::env::set_var("HARDENED_PINS", "16");
-        let cfg = site_policy_env_overrides(Config::default());
+        let cfg = site_policy_env_overrides(
+            Config::default(),
+            vars(&[
+                ("SITE_POLICY", "on"),
+                ("THIN_MIN_FREES", "8"),
+                ("HARDENED_PINS", "16"),
+            ]),
+        );
         assert!(cfg.site_policy);
         assert_eq!(cfg.thin_min_frees, 8);
         assert_eq!(cfg.hardened_pin_objects, 16);
 
-        std::env::set_var("SITE_POLICY", "0");
-        let cfg = site_policy_env_overrides(Config::default().with_site_policy(true));
+        let cfg = site_policy_env_overrides(
+            Config::default().with_site_policy(true),
+            vars(&[("SITE_POLICY", "0")]),
+        );
         assert!(!cfg.site_policy, "explicit off beats the built config");
 
-        std::env::set_var("SITE_POLICY", "banana");
-        let cfg = site_policy_env_overrides(Config::default());
+        let cfg = site_policy_env_overrides(Config::default(), vars(&[("SITE_POLICY", "banana")]));
         assert!(!cfg.site_policy, "unparsable values leave cfg untouched");
 
-        std::env::remove_var("SITE_POLICY");
-        std::env::remove_var("THIN_MIN_FREES");
-        std::env::remove_var("HARDENED_PINS");
-
-        // Telemetry axis, same discipline (and same single-test rule).
+        // Telemetry axis.
         let base = Config::default();
-        let cfg = metrics_env_overrides(base);
+        let cfg = metrics_env_overrides(base, vars(&[]));
         assert_eq!(cfg.metrics, base.metrics);
         assert_eq!(cfg.metrics_interval_ms, base.metrics_interval_ms);
 
-        std::env::set_var("METRICS", "1");
-        std::env::set_var("METRICS_INTERVAL_MS", "25");
-        let cfg = metrics_env_overrides(Config::default());
+        let cfg = metrics_env_overrides(
+            Config::default(),
+            vars(&[("METRICS", "1"), ("METRICS_INTERVAL_MS", "25")]),
+        );
         assert!(cfg.metrics);
         assert_eq!(cfg.metrics_interval_ms, 25);
 
-        std::env::set_var("METRICS", "off");
-        let cfg = metrics_env_overrides(Config::default().with_metrics(true));
+        let cfg = metrics_env_overrides(
+            Config::default().with_metrics(true),
+            vars(&[("METRICS", "off")]),
+        );
         assert!(!cfg.metrics, "explicit off beats the built config");
 
-        std::env::set_var("METRICS", "banana");
-        let cfg = metrics_env_overrides(Config::default());
+        let cfg = metrics_env_overrides(Config::default(), vars(&[("METRICS", "banana")]));
         assert!(!cfg.metrics, "unparsable values leave cfg untouched");
 
-        std::env::remove_var("METRICS");
-        std::env::remove_var("METRICS_INTERVAL_MS");
-
-        // Tagging axis, same discipline (and same single-test rule).
+        // Tagging axis.
         let base = TagScheme::ImplicitId {
             bits: DEFAULT_TAG_BITS,
             key: DEFAULT_TAG_KEY,
         };
-        assert_eq!(tagging_env_overrides(base), base);
+        assert_eq!(tagging_env_overrides(base, vars(&[])), base);
 
-        std::env::set_var("TAG_BITS", "4");
-        std::env::set_var("TAG_KEY", "0xBEEF");
+        let tagged = vars(&[("TAG_BITS", "4"), ("TAG_KEY", "0xBEEF")]);
         assert_eq!(
-            tagging_env_overrides(base),
+            tagging_env_overrides(base, &tagged),
             TagScheme::ImplicitId {
                 bits: 4,
                 key: 0xBEEF
             }
         );
         assert_eq!(
-            tagging_env_overrides(TagScheme::XTag {
-                bits: DEFAULT_TAG_BITS
-            }),
+            tagging_env_overrides(
+                TagScheme::XTag {
+                    bits: DEFAULT_TAG_BITS
+                },
+                &tagged
+            ),
             TagScheme::XTag { bits: 4 },
             "xTag takes the width and ignores the key"
         );
 
-        std::env::set_var("TAG_BITS", "banana");
-        std::env::set_var("TAG_KEY", "banana");
         assert_eq!(
-            tagging_env_overrides(base),
+            tagging_env_overrides(base, vars(&[("TAG_BITS", "banana"), ("TAG_KEY", "banana")])),
             base,
             "unparsable values leave the scheme untouched"
         );
-
-        std::env::remove_var("TAG_BITS");
-        std::env::remove_var("TAG_KEY");
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub mod spec;
 
 pub use cost::{calibrate, CostModel};
 pub use env::{
-    local_env, metrics_env_overrides, shared_env, site_policy_env_overrides, sweep_env_overrides,
-    tagging_env_overrides, DetectorKind,
+    local_env, metrics_env_overrides, process_env, shared_env, site_policy_env_overrides,
+    sweep_env_overrides, tagging_env_overrides, DetectorKind,
 };
 pub use profiles::ServerProfile;
 pub use server::{run_server, run_server_opts, ClassLatency, ServerOptions, ServerResult};

@@ -55,7 +55,17 @@ echo "== tier-1: cargo clippy -D warnings =="
 cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo test -q =="
-cargo test -q
+test_log=$(mktemp /tmp/verify-tests.XXXXXX.log)
+trap 'rm -f "$test_log"' EXIT
+cargo test -q 2>&1 | tee "$test_log"
+# Sum the "N passed" of every test binary, so a gate that silently
+# shrinks (a crate dropped from the run, a test module cfg'd out) shows
+# up as a smaller count in the log.
+tests_passed=$(awk '/^test result:/ {
+    for (i = 1; i < NF; i++) if ($(i + 1) ~ /^passed/) n += $i
+} END { print n + 0 }' "$test_log")
+echo "verify: tier-1 cargo test passed $tests_passed tests"
+rm -f "$test_log"
 
 # The fixed-seed corpus replay and a bounded fixed-seed campaign already
 # ran inside cargo test (tests/fuzz_corpus.rs, instr prop_fuzz_diff); this
