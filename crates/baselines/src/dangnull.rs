@@ -130,7 +130,7 @@ impl Detector for DangNull {
                 incoming: BTreeSet::new(),
             },
         );
-        Stats::bump(&self.stats.objects_allocated);
+        self.stats.bump_hot(Hot::ObjectsAllocated);
         self.account(obj_cost(alloc.requested));
     }
 
@@ -162,7 +162,7 @@ impl Detector for DangNull {
             }
         }
         self.account(-(obj_cost(rec.size) + rec.incoming.len() as i64 * EDGE_COST));
-        Stats::bump(&self.stats.objects_freed);
+        self.stats.bump_hot(Hot::ObjectsFreed);
         report
     }
 

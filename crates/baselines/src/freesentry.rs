@@ -88,7 +88,7 @@ impl Detector for FreeSentry {
             },
         );
         st.meta_bytes += OBJ_COST + (alloc.requested / 64) * 2; // label memory
-        Stats::bump(&self.stats.objects_allocated);
+        self.stats.bump_hot(Hot::ObjectsAllocated);
     }
 
     fn on_free(&self, base: Addr) -> InvalidationReport {
@@ -125,7 +125,7 @@ impl Detector for FreeSentry {
         st.meta_bytes = st
             .meta_bytes
             .saturating_sub(OBJ_COST + rec.incoming.len() as u64 * EDGE_COST);
-        Stats::bump(&self.stats.objects_freed);
+        self.stats.bump_hot(Hot::ObjectsFreed);
         report
     }
 

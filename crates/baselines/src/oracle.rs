@@ -178,7 +178,7 @@ impl Detector for ShadowOracle {
                 incoming: BTreeSet::new(),
             },
         );
-        Stats::bump(&self.stats.objects_allocated);
+        self.stats.bump_hot(Hot::ObjectsAllocated);
         self.meta_bytes.fetch_add(48, Ordering::Relaxed);
     }
 
@@ -195,7 +195,7 @@ impl Detector for ShadowOracle {
             return InvalidationReport::default();
         };
         st.dead.push((base, rec.end, rec.max_end));
-        Stats::bump(&self.stats.objects_freed);
+        self.stats.bump_hot(Hot::ObjectsFreed);
         match self.mode {
             OracleMode::Eager => {
                 let report = self.invalidate(base, &rec);

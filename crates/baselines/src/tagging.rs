@@ -41,7 +41,7 @@ use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use dangsan::{Detector, InvalidationReport, Stats, StatsSnapshot};
+use dangsan::{Detector, Hot, InvalidationReport, Stats, StatsSnapshot};
 use dangsan_heap::{AllocError, Allocation};
 use dangsan_vmem::{tag_of, untag, with_tag, Addr, INVALID_BIT, TAG_BITS};
 
@@ -316,7 +316,7 @@ impl Detector for TagDetector {
         });
         rec.end = end;
         self.advance(rec);
-        Stats::bump(&self.stats.objects_allocated);
+        self.stats.bump_hot(Hot::ObjectsAllocated);
     }
 
     fn on_free(&self, base: Addr) -> InvalidationReport {
@@ -326,7 +326,7 @@ impl Detector for TagDetector {
         if let Some(rec) = st.blocks.get_mut(&base) {
             self.advance(rec);
         }
-        Stats::bump(&self.stats.objects_freed);
+        self.stats.bump_hot(Hot::ObjectsFreed);
         InvalidationReport::default()
     }
 

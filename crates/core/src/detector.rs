@@ -476,7 +476,7 @@ impl DangSan {
                 Ordering::Acquire,
             ) {
                 Ok(_) => {
-                    Stats::bump(&self.stats.logs_created);
+                    self.stats.bump_hot(Hot::LogsCreated);
                     return fresh;
                 }
                 Err(winner) => {
@@ -555,9 +555,9 @@ impl DangSan {
         let covered = meta.covered.load(Ordering::Acquire);
         let site = meta.site.load(Ordering::Relaxed);
         let lifetime = meta.epoch.load(Ordering::Relaxed).saturating_sub(obj_id);
-        Stats::bump(&self.stats.objects_freed);
         Stats::bump(&self.stats.frees_thin);
-        self.stats.bump_hot_by(&[(Hot::free_hist_bucket(0), 1)]);
+        self.stats
+            .bump_hot_by(&[(Hot::ObjectsFreed, 1), (Hot::free_hist_bucket(0), 1)]);
         if let Some(policy) = &self.policy {
             policy.note_free(site, 0, false, lifetime);
         }
@@ -821,8 +821,7 @@ impl DangSan {
         let queue = self.sweep.as_ref().expect("deferred mode is on");
         let job = self.object_sweep(meta, obj_id, logs);
         debug_assert_eq!(job.base, base, "frees resolve to the block base");
-        Stats::bump(&self.stats.objects_freed);
-        Stats::bump(&self.stats.frees_deferred);
+        self.stats.bump_hot2(Hot::ObjectsFreed, Hot::FreesDeferred);
         let (pending, pending_bytes) = queue.push_object(job);
         self.trace.record(
             TraceLevel::Full,
@@ -1342,7 +1341,7 @@ impl Detector for DangSan {
         }
         self.map
             .set_object(alloc.base, alloc.stride, meta.as_meta_value());
-        Stats::bump(&self.stats.objects_allocated);
+        self.stats.bump_hot(Hot::ObjectsAllocated);
         if self.trace.enabled(TraceLevel::Lifecycles) {
             // The object's id *is* its epoch: globally never reused, so a
             // forensics pass can tell apart lifetimes sharing a base.
@@ -1416,7 +1415,7 @@ impl Detector for DangSan {
         }
         // Synchronous mode: the deferred sweeps' walk and retire record,
         // run to completion here as a batch of one.
-        Stats::bump(&self.stats.objects_freed);
+        self.stats.bump_hot(Hot::ObjectsFreed);
         let mut rec = self.scratch.take();
         let job = self.object_sweep(meta, obj_id, LogChain(chain));
         let report = self.run_object_sweep(job, SWEEP_MODE_INLINE, &mut rec);

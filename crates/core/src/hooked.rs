@@ -495,6 +495,49 @@ mod tests {
         }
     }
 
+    #[test]
+    fn per_op_counters_exact_after_scope_inline_and_deferred() {
+        // `objects_allocated`, `objects_freed`, `frees_deferred` and
+        // `logs_created` are per-thread slab counters: two threads' counts
+        // must add up exactly once the scope ends and the queue drains.
+        const N: u64 = 300;
+        fn work(th: &mut HookedThread<DangSan>) {
+            for i in 0..N {
+                let obj = th.malloc(16 + (i % 4) * 16).unwrap();
+                th.store_ptr(obj.base + 8, obj.base).unwrap();
+                th.free(obj.base).unwrap();
+            }
+        }
+        for deferred in [false, true] {
+            let cfg = Config::default()
+                .with_deferred_sweep(deferred)
+                .with_sweep_threads(0);
+            let single = setup_with(cfg);
+            let mut th = single.thread_handle();
+            work(&mut th);
+            work(&mut th);
+            single.detector().drain();
+            let single_logs = single.detector().stats().logs_created;
+            assert_eq!(single_logs, 2 * N, "one log per stored-into object");
+
+            let hh = setup_with(cfg);
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    let hh = hh.clone();
+                    scope.spawn(move || work(&mut hh.thread_handle()));
+                }
+            });
+            hh.detector().drain();
+            let s = hh.detector().stats();
+            assert_eq!(s.objects_allocated, 2 * N, "deferred={deferred}");
+            assert_eq!(s.objects_freed, 2 * N, "deferred={deferred}");
+            let deferred_frees = if deferred { 2 * N } else { 0 };
+            assert_eq!(s.frees_deferred, deferred_frees, "deferred={deferred}");
+            assert_eq!(s.logs_created, single_logs, "deferred={deferred}");
+            assert_eq!(s.ptrs_invalidated, 2 * N, "deferred={deferred}");
+        }
+    }
+
     /// Helper-thread count for the deferred arms of the sweep tests. The
     /// CI matrix exports `SWEEP_THREADS` (0 and 2) so both drain-driven
     /// and helper-driven sweeping get exercised; locally the default

@@ -126,7 +126,9 @@ impl LogHashTable {
             }
             if cur == 0 {
                 self.slots[i as usize].store(loc, Ordering::Release);
-                self.count.fetch_add(1, Ordering::Relaxed);
+                // Single writer (the owning thread): load + store, no RMW.
+                let n = self.count.load(Ordering::Relaxed);
+                self.count.store(n + 1, Ordering::Relaxed);
                 return Ok(true);
             }
             i = (i + 1) & mask;

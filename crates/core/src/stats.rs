@@ -1,26 +1,40 @@
 //! Detector statistics — the counters behind the paper's Table 1.
 //!
-//! The counters hit on every instrumented store (`# ptrs`, `# dup`, …)
+//! The counters hit on every instrumented store, malloc or free
+//! (`# ptrs`, `# dup`, `# obj alloc`, objects freed, logs created, …)
 //! are batched per thread: a locked `fetch_add` on a shared cache line
-//! costs more than the rest of the registration fast path combined, so
-//! each thread accumulates into a private slab of single-writer atomics
-//! (plain load + store — uncontended, no RMW). Slabs register with their
-//! `Stats` instance, and `snapshot()` sums the shared totals plus every
-//! live slab under a mutex, so totals are exact for the counting thread
-//! itself and for any reader ordered after the counting (a `join` or the
-//! end of a `thread::scope`). Nothing depends on TLS-destructor timing —
-//! a scoped thread's destructors can run *after* `scope` returns, so a
-//! flush-on-exit scheme would race with the post-join reader; the
-//! destructor here only retires the slab to bound memory.
+//! costs more than the rest of the registration fast path combined, and
+//! two threads bumping one line make every bump a cache miss for the
+//! other. So each thread accumulates into a private, line-aligned slab
+//! of single-writer atomics (plain load + store — uncontended, no RMW).
+//! Slabs register with their `Stats` instance, and `snapshot()` sums the
+//! shared totals plus every live slab under a mutex, so totals are exact
+//! for the counting thread itself and for any reader ordered after the
+//! counting (a `join` or the end of a `thread::scope`). Nothing depends
+//! on TLS-destructor timing — a scoped thread's destructors can run
+//! *after* `scope` returns, so a flush-on-exit scheme would race with the
+//! post-join reader; the destructor here only retires the slab to bound
+//! memory.
+//!
+//! The remaining shared counters are bumped once per sweep batch (so
+//! once per free when sweeping inline, and only for a non-zero delta),
+//! per log growth, or, with site routing on, per routed malloc or Thin
+//! free. The slab registry handle every counted operation reads sits on
+//! a cache line of its own, apart from them.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex, Weak};
 
-/// Number of hot (per-store or per-free) counters batched per thread.
-const HOT_COUNTERS: usize = 13;
+/// Number of hot (per-store, per-malloc or per-free) counters batched
+/// per thread.
+const HOT_COUNTERS: usize = 17;
 
-/// Index of one hot counter in the per-thread batch.
+/// Index of one hot counter in the per-thread batch: every counter that
+/// some operation bumps each time it runs (a store, a malloc, a free or
+/// a log creation), so that no such operation writes a shared line.
+/// Each detector, the baselines included, bumps these through
+/// [`Stats::bump_hot`] and its multi-counter twins.
 #[derive(Debug, Clone, Copy)]
 pub enum Hot {
     /// `# ptrs` — pointer registrations that resolved to a tracked object.
@@ -52,6 +66,15 @@ pub enum Hot {
     FreeHistLarge = 11,
     /// Frees that drained more than 512 locations.
     FreeHistHuge = 12,
+    /// `# obj alloc` — objects registered with the detector.
+    ObjectsAllocated = 13,
+    /// Objects freed (and their pointers invalidated).
+    ObjectsFreed = 14,
+    /// Frees whose invalidation sweep was enqueued on the deferred
+    /// quarantine queue instead of running inline.
+    FreesDeferred = 15,
+    /// Per-thread logs created (lock-free list insertions).
+    LogsCreated = 16,
 }
 
 impl Hot {
@@ -70,8 +93,10 @@ impl Hot {
 
 /// One thread's hot counts for one `Stats` instance. Only the owning
 /// thread writes (plain load + store, never an RMW), so the atomics are
-/// uncontended; any thread may *read* them through the registry.
+/// uncontended; any thread may *read* them through the registry. Line
+/// aligned, so two threads' slabs never share a cache line.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 struct BatchSlab {
     counts: [AtomicU64; HOT_COUNTERS],
 }
@@ -94,7 +119,7 @@ static NEXT_STATS_ID: AtomicU64 = AtomicU64::new(1);
 /// The calling thread's current batch: which `Stats` it counts for and
 /// the slab it counts into.
 struct HotBatch {
-    /// `Stats::hot_id` of the instance the slab belongs to; 0 = none.
+    /// `HotTarget::id` of the instance the slab belongs to; 0 = none.
     id: Cell<u64>,
     /// The registered slab, kept alive by the `Arc`; the raw pointer is a
     /// borrow of it so the bump path skips the `RefCell` flag dance.
@@ -144,14 +169,24 @@ thread_local! {
     };
 }
 
+/// The hot counters' registry and its never-reused id: read by every
+/// counted operation, so they sit on a cache line of their own, apart
+/// from the cold counters other threads RMW.
+#[derive(Debug)]
+#[repr(align(64))]
+struct HotTarget {
+    /// The per-operation counters (see [`Hot`]), batched per thread.
+    shared: Arc<HotShared>,
+    /// Never-reused identity of `shared` for the thread-local batches.
+    id: u64,
+}
+
 /// Monotonic counters maintained by a detector. Field names follow the
-/// columns of Table 1 ("Statistics for SPEC CPU2006").
+/// columns of Table 1 ("Statistics for SPEC CPU2006"); the counters bumped
+/// on every store, malloc or free are [`Hot`] counters instead, batched
+/// per thread.
 #[derive(Debug)]
 pub struct Stats {
-    /// `# obj alloc` — objects registered with the detector.
-    pub objects_allocated: AtomicU64,
-    /// Objects freed (and their pointers invalidated).
-    pub objects_freed: AtomicU64,
     /// `# hashtable` — hash tables allocated as log fallback.
     pub hashtables: AtomicU64,
     /// `# inval` — pointers actually rewritten at free time.
@@ -161,13 +196,8 @@ pub struct Stats {
     /// Locations skipped because their memory was unmapped (the simulated
     /// "catch SIGSEGV and skip" path of §4.4).
     pub sigsegv_skips: AtomicU64,
-    /// Per-thread logs created (lock-free list insertions).
-    pub logs_created: AtomicU64,
     /// Indirect (overflow) log blocks allocated.
     pub indirect_blocks: AtomicU64,
-    /// Frees whose invalidation sweep was enqueued on the deferred
-    /// quarantine queue instead of running inline.
-    pub frees_deferred: AtomicU64,
     /// Deferred sweeps executed inline by a freeing thread because the
     /// quarantine hit its byte/object cap (backpressure).
     pub sweeps_backpressure: AtomicU64,
@@ -190,24 +220,18 @@ pub struct Stats {
     pub site_demotions: AtomicU64,
     /// Swept Hardened blocks pinned before allocator reuse.
     pub hardened_pins: AtomicU64,
-    /// The per-store counters (see [`Hot`]), batched per thread.
-    hot: Arc<HotShared>,
-    /// Never-reused identity of `hot` for the thread-local batches.
-    hot_id: u64,
+    /// Where the hot counters go.
+    hot: HotTarget,
 }
 
 impl Default for Stats {
     fn default() -> Self {
         Stats {
-            objects_allocated: AtomicU64::new(0),
-            objects_freed: AtomicU64::new(0),
             hashtables: AtomicU64::new(0),
             ptrs_invalidated: AtomicU64::new(0),
             stale_ptrs: AtomicU64::new(0),
             sigsegv_skips: AtomicU64::new(0),
-            logs_created: AtomicU64::new(0),
             indirect_blocks: AtomicU64::new(0),
-            frees_deferred: AtomicU64::new(0),
             sweeps_backpressure: AtomicU64::new(0),
             sweep_steals: AtomicU64::new(0),
             sweep_splits: AtomicU64::new(0),
@@ -217,8 +241,10 @@ impl Default for Stats {
             thin_promotions: AtomicU64::new(0),
             site_demotions: AtomicU64::new(0),
             hardened_pins: AtomicU64::new(0),
-            hot: Arc::new(HotShared::default()),
-            hot_id: NEXT_STATS_ID.fetch_add(1, Ordering::Relaxed),
+            hot: HotTarget {
+                shared: Arc::new(HotShared::default()),
+                id: NEXT_STATS_ID.fetch_add(1, Ordering::Relaxed),
+            },
         }
     }
 }
@@ -226,9 +252,9 @@ impl Default for Stats {
 /// A plain-old-data copy of [`Stats`], cheap to store and compare.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// See [`Stats::objects_allocated`].
+    /// See [`Hot::ObjectsAllocated`].
     pub objects_allocated: u64,
-    /// See [`Stats::objects_freed`].
+    /// See [`Hot::ObjectsFreed`].
     pub objects_freed: u64,
     /// See [`Stats::hashtables`].
     pub hashtables: u64,
@@ -242,7 +268,7 @@ pub struct StatsSnapshot {
     pub dup_ptrs: u64,
     /// See [`Stats::sigsegv_skips`].
     pub sigsegv_skips: u64,
-    /// See [`Stats::logs_created`].
+    /// See [`Hot::LogsCreated`].
     pub logs_created: u64,
     /// See [`Stats::indirect_blocks`].
     pub indirect_blocks: u64,
@@ -268,7 +294,7 @@ pub struct StatsSnapshot {
     pub free_pages_touched: u64,
     /// See [`Hot::FreeDupLocs`].
     pub free_dup_locs: u64,
-    /// See [`Stats::frees_deferred`].
+    /// See [`Hot::FreesDeferred`].
     pub frees_deferred: u64,
     /// See [`Stats::sweeps_backpressure`].
     pub sweeps_backpressure: u64,
@@ -308,9 +334,9 @@ impl Stats {
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut hot = [0u64; HOT_COUNTERS];
         {
-            let live = self.hot.live.lock().unwrap();
+            let live = self.hot.shared.live.lock().unwrap();
             for (i, h) in hot.iter_mut().enumerate() {
-                *h = self.hot.retired[i].load(Ordering::Relaxed);
+                *h = self.hot.shared.retired[i].load(Ordering::Relaxed);
                 for slab in live.iter() {
                     *h += slab.counts[i].load(Ordering::Relaxed);
                 }
@@ -319,15 +345,15 @@ impl Stats {
         let l = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let h = |i: Hot| hot[i as usize];
         StatsSnapshot {
-            objects_allocated: l(&self.objects_allocated),
-            objects_freed: l(&self.objects_freed),
+            objects_allocated: h(Hot::ObjectsAllocated),
+            objects_freed: h(Hot::ObjectsFreed),
             hashtables: l(&self.hashtables),
             ptrs_registered: h(Hot::PtrsRegistered),
             ptrs_invalidated: l(&self.ptrs_invalidated),
             stale_ptrs: l(&self.stale_ptrs),
             dup_ptrs: h(Hot::DupPtrs),
             sigsegv_skips: l(&self.sigsegv_skips),
-            logs_created: l(&self.logs_created),
+            logs_created: h(Hot::LogsCreated),
             indirect_blocks: l(&self.indirect_blocks),
             compressed_merges: h(Hot::CompressedMerges),
             log_cache_hits: h(Hot::LogCacheHits),
@@ -341,7 +367,7 @@ impl Stats {
             free_locs_walked: h(Hot::FreeLocsWalked),
             free_pages_touched: h(Hot::FreePagesTouched),
             free_dup_locs: h(Hot::FreeDupLocs),
-            frees_deferred: l(&self.frees_deferred),
+            frees_deferred: h(Hot::FreesDeferred),
             sweeps_backpressure: l(&self.sweeps_backpressure),
             sweep_steals: l(&self.sweep_steals),
             sweep_splits: l(&self.sweep_splits),
@@ -363,7 +389,8 @@ impl Stats {
         }
     }
 
-    /// Relaxed increment helper for the cold (free-path) counters.
+    /// Relaxed increment helper for the shared counters (the
+    /// per-operation ones are [`Hot`]).
     #[inline]
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
@@ -383,17 +410,17 @@ impl Stats {
     #[inline]
     fn with_batch(&self, f: impl FnOnce(&BatchSlab)) {
         HOT_BATCH.with(|b| {
-            if b.id.get() != self.hot_id {
+            if b.id.get() != self.hot.id {
                 // First count for a different detector: hand the previous
                 // one its counts back, then register a fresh slab here.
                 b.retire();
                 let slab = Arc::new(BatchSlab::default());
-                self.hot.live.lock().unwrap().push(Arc::clone(&slab));
+                self.hot.shared.live.lock().unwrap().push(Arc::clone(&slab));
                 b.slab.set(Arc::as_ptr(&slab));
-                *b.hold.borrow_mut() = Some((Arc::downgrade(&self.hot), slab));
-                b.id.set(self.hot_id);
+                *b.hold.borrow_mut() = Some((Arc::downgrade(&self.hot.shared), slab));
+                b.id.set(self.hot.id);
             }
-            // SAFETY: `id == hot_id` implies `slab` points into the Arc in
+            // SAFETY: `id == hot.id` implies `slab` points into the Arc in
             // `hold` (the two are only ever set/cleared together), which
             // pins the slab for the duration of the call.
             f(unsafe { &*b.slab.get() });
@@ -495,6 +522,39 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hot_target_and_cold_counters_sit_on_different_cache_lines() {
+        use core::mem::{align_of, offset_of};
+        // Offsets map to cache lines only if the struct starts one.
+        assert_eq!(align_of::<Stats>() % 64, 0);
+        assert_eq!(
+            align_of::<BatchSlab>() % 64,
+            0,
+            "threads' slabs share lines"
+        );
+        let read = [offset_of!(Stats, hot.shared), offset_of!(Stats, hot.id)];
+        let written = [
+            offset_of!(Stats, hashtables),
+            offset_of!(Stats, ptrs_invalidated),
+            offset_of!(Stats, stale_ptrs),
+            offset_of!(Stats, sigsegv_skips),
+            offset_of!(Stats, indirect_blocks),
+            offset_of!(Stats, sweeps_backpressure),
+            offset_of!(Stats, sweep_steals),
+            offset_of!(Stats, sweep_splits),
+            offset_of!(Stats, routed_thin),
+            offset_of!(Stats, routed_hardened),
+            offset_of!(Stats, frees_thin),
+            offset_of!(Stats, thin_promotions),
+            offset_of!(Stats, site_demotions),
+            offset_of!(Stats, hardened_pins),
+        ];
+        for r in read {
+            let apart = written.iter().all(|w| w / 64 != r / 64);
+            assert!(apart, "field at offset {r} shares a counter line");
+        }
+    }
 
     #[test]
     fn snapshot_reflects_counters() {

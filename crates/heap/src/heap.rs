@@ -27,7 +27,13 @@ pub const CENTRAL_SHARDS: usize = 4;
 static NEXT_HEAP_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Allocator statistics (all monotonic counters).
+///
+/// Every malloc and free bumps these from whichever thread runs it, so
+/// they get cache lines of their own: sharing a line with the fields
+/// every operation reads (`mem`, `registry`, `thread_cached`, `id`, …)
+/// would make each bump evict that line from the other threads.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct HeapStats {
     /// Number of successful `malloc`s (including realloc-moves).
     pub mallocs: AtomicU64,
@@ -645,6 +651,30 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn per_op_fields_and_stats_sit_on_different_cache_lines() {
+        use core::mem::{align_of, offset_of};
+        // Offsets map to cache lines only if the struct starts one.
+        assert_eq!(align_of::<Heap>() % 64, 0);
+        let read = [
+            offset_of!(Heap, mem),
+            offset_of!(Heap, registry),
+            offset_of!(Heap, central),
+            offset_of!(Heap, thread_cached),
+            offset_of!(Heap, id),
+        ];
+        let written = [
+            offset_of!(Heap, stats.mallocs),
+            offset_of!(Heap, stats.frees),
+            offset_of!(Heap, stats.spans),
+            offset_of!(Heap, stats.requested_bytes),
+        ];
+        for r in read {
+            let apart = written.iter().all(|w| w / 64 != r / 64);
+            assert!(apart, "field at offset {r} shares a counter line");
+        }
+    }
 
     fn setup() -> (Arc<AddressSpace>, Arc<Heap>) {
         let mem = Arc::new(AddressSpace::new());

@@ -77,6 +77,8 @@ struct ThreadP2o {
     /// attribution check at all (that waits until flush time, which is
     /// rare). Starts full.
     hits_left: Cell<u64>,
+    /// Misses in the current batch, flushed with its hits.
+    misses: Cell<u64>,
     /// Pre-shifted identity of the table the current batch is attributed
     /// to. Read and written only on flush and miss, never on the hit path;
     /// in the single-live-table steady state every process has, the
@@ -84,16 +86,17 @@ struct ThreadP2o {
     batch_owner: Cell<u64>,
 }
 
-/// Hits are batched per thread and flushed to the owning table's counter
-/// after this many (and on every miss), keeping a shared `fetch_add` off
-/// the instrumented-store fast path.
-const HIT_FLUSH_EVERY: u64 = 64;
+/// Hits and misses are batched per thread and flushed together to the
+/// owning table's counters after this many hits or this many misses,
+/// keeping a shared `fetch_add` off both the hit and the miss path.
+const FLUSH_EVERY: u64 = 64;
 
 thread_local! {
     static P2O: ThreadP2o = const {
         ThreadP2o {
             slots: [const { Cell::new(P2oSlot::EMPTY) }; P2O_SLOTS],
-            hits_left: Cell::new(HIT_FLUSH_EVERY),
+            hits_left: Cell::new(FLUSH_EVERY),
+            misses: Cell::new(0),
             batch_owner: Cell::new(0),
         }
     };
@@ -143,6 +146,16 @@ struct Leaf {
     entries: [AtomicU64; FANOUT],
 }
 
+/// The written side of a [`MetaPageTable`], kept apart from the fields
+/// every lookup reads (see the `counters` field).
+#[repr(align(64))]
+struct TableCounters {
+    /// Host bytes spent on leaves + metadata arrays (for Figure 11/12).
+    shadow_bytes: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+}
+
 /// The metapagetable covering the simulated heap.
 ///
 /// Thread-safe and lock-free: leaves and metadata arrays are installed with
@@ -151,8 +164,6 @@ struct Leaf {
 /// real implementation piggybacks on tcmalloc's span lifetime.
 pub struct MetaPageTable {
     l1: Box<[AtomicPtr<Leaf>]>,
-    /// Host bytes spent on leaves + metadata arrays (for Figure 11/12).
-    shadow_bytes: AtomicU64,
     /// This table's never-reused identity, pre-shifted for key packing
     /// (see [`P2oSlot`]). Immutable for the table's lifetime — the cache
     /// never needs flushing, so freeing an object costs other threads'
@@ -160,8 +171,11 @@ pub struct MetaPageTable {
     identity: u64,
     /// Runtime kill switch used by the hot-path benchmarks.
     cache_enabled: AtomicBool,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
+    /// The counters threads write, on a cache line of their own: every
+    /// lookup reads `l1`/`identity`/`cache_enabled`, so one thread's
+    /// batch flush or span registration must not evict that line from
+    /// the others.
+    counters: TableCounters,
     /// Flight-recorder attach point; shadow remaps (object set/clear,
     /// span registration) are recorded here as Full-level events. The
     /// lookup fast paths never touch it.
@@ -187,11 +201,13 @@ impl MetaPageTable {
             l1: (0..L1_COUNT)
                 .map(|_| AtomicPtr::new(ptr::null_mut()))
                 .collect(),
-            shadow_bytes: AtomicU64::new(0),
             identity: fresh_table_identity(),
             cache_enabled: AtomicBool::new(true),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
+            counters: TableCounters {
+                shadow_bytes: AtomicU64::new(0),
+                cache_hits: AtomicU64::new(0),
+                cache_misses: AtomicU64::new(0),
+            },
             trace: Trace::new(),
         }
     }
@@ -229,7 +245,8 @@ impl MetaPageTable {
             match slot.compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => {
-                    self.shadow_bytes
+                    self.counters
+                        .shadow_bytes
                         .fetch_add(core::mem::size_of::<Leaf>() as u64, Ordering::Relaxed);
                     cur = fresh;
                 }
@@ -266,7 +283,8 @@ impl MetaPageTable {
             let packed = pack_entry(raw, shift);
             match slot.compare_exchange(0, packed, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
-                    self.shadow_bytes
+                    self.counters
+                        .shadow_bytes
                         .fetch_add(slots as u64 * 8, Ordering::Relaxed);
                     fresh_pages += 1;
                 }
@@ -397,15 +415,23 @@ impl MetaPageTable {
         })
     }
 
-    /// The miss path: flush the hit batch, walk, fill the slot. Kept out
-    /// of line so the hit path compiles to a handful of instructions.
+    /// The miss path: count the miss in the batch, walk, fill the slot.
+    /// Kept out of line so the hit path compiles to a handful of
+    /// instructions.
     #[cold]
     fn fill_slot(&self, cache: &ThreadP2o, idx: usize, key: u64) -> Option<u64> {
-        self.flush_pending_hits(cache);
-        // The batch that starts now is this table's (any foreign remnant
-        // was just dropped by the flush).
-        cache.batch_owner.set(self.identity);
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        if cache.batch_owner.get() != self.identity {
+            // The batch that starts now is this table's; a foreign
+            // remnant is dropped (its table may already be gone).
+            cache.hits_left.set(FLUSH_EVERY);
+            cache.misses.set(0);
+            cache.batch_owner.set(self.identity);
+        }
+        let misses = cache.misses.get() + 1;
+        cache.misses.set(misses);
+        if misses == FLUSH_EVERY {
+            self.flush_batch(cache);
+        }
         let entry = self.entry_walk(idx)?;
         // Unregistered pages (None) are never cached: registration
         // must become visible on the very next lookup.
@@ -422,49 +448,60 @@ impl MetaPageTable {
     }
 
     /// Records one cache hit: decrement the countdown, flush the batch
-    /// when it reaches zero. Attribution to a table happens only at flush
-    /// time — a batch whose owner is a *different* table (possible only
-    /// when lookups of two live tables interleave on one thread with no
-    /// miss in between) is dropped rather than flushed, so a counter is
-    /// never inflated by a table that may already be gone.
+    /// when it reaches zero.
     #[inline(always)]
     fn note_cache_hit(&self, cache: &ThreadP2o) {
         let left = cache.hits_left.get() - 1;
+        cache.hits_left.set(left);
         if left == 0 {
-            if cache.batch_owner.get() == self.identity {
-                self.cache_hits
-                    .fetch_add(HIT_FLUSH_EVERY, Ordering::Relaxed);
-            }
-            cache.hits_left.set(HIT_FLUSH_EVERY);
-        } else {
-            cache.hits_left.set(left);
+            self.flush_batch(cache);
         }
     }
 
-    fn flush_pending_hits(&self, cache: &ThreadP2o) {
-        let n = HIT_FLUSH_EVERY - cache.hits_left.get();
-        if n > 0 {
-            if cache.batch_owner.get() == self.identity {
-                self.cache_hits.fetch_add(n, Ordering::Relaxed);
+    /// Credits the calling thread's pending hits and misses and starts a
+    /// new batch. Attribution to a table happens only here — a batch whose
+    /// owner is a *different* table (possible only when lookups of two
+    /// live tables interleave on one thread with no miss in between) is
+    /// dropped rather than flushed, so a counter is never inflated by a
+    /// table that may already be gone.
+    #[cold]
+    fn flush_batch(&self, cache: &ThreadP2o) {
+        if cache.batch_owner.get() == self.identity {
+            let c = &self.counters;
+            for (counter, n) in [
+                (&c.cache_hits, FLUSH_EVERY - cache.hits_left.get()),
+                (&c.cache_misses, cache.misses.get()),
+            ] {
+                if n > 0 {
+                    counter.fetch_add(n, Ordering::Relaxed);
+                }
             }
-            cache.hits_left.set(HIT_FLUSH_EVERY);
         }
+        cache.hits_left.set(FLUSH_EVERY);
+        cache.misses.set(0);
     }
 
     /// `ptr2obj`-cache hit/miss counters for this table.
     ///
-    /// The calling thread's pending hit batch is flushed first, so
-    /// single-threaded counts are exact; concurrent threads may each lag
-    /// by one unflushed batch. When lookups of *several* live tables
-    /// interleave on one thread with no miss in between, a mixed batch is
-    /// attributed to the table that started it (hits are accounted at
-    /// flush time, not per lookup) — a deliberate, bounded imprecision
-    /// that keeps the hit path to four instructions of accounting.
+    /// Hits and misses are both batched per thread. The calling thread's
+    /// pending batch is flushed first, so its own counts are exact;
+    /// another thread's can lag by one unflushed batch (under 64 hits
+    /// plus under 64 misses) until it next flushes. When lookups of
+    /// *several* live tables interleave on one thread with no miss in
+    /// between, a mixed batch is attributed to the table that started it
+    /// (counts are accounted at flush time, not per lookup) — a
+    /// deliberate, bounded imprecision that keeps the hit path to four
+    /// instructions of accounting.
     pub fn cache_stats(&self) -> P2oCacheStats {
-        P2O.with(|cache| self.flush_pending_hits(cache));
+        P2O.with(|cache| {
+            if cache.batch_owner.get() == self.identity {
+                self.flush_batch(cache);
+            }
+        });
+        let c = &self.counters;
         P2oCacheStats {
-            hits: self.cache_hits.load(Ordering::Relaxed),
-            misses: self.cache_misses.load(Ordering::Relaxed),
+            hits: c.cache_hits.load(Ordering::Relaxed),
+            misses: c.cache_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -477,7 +514,7 @@ impl MetaPageTable {
 
     /// Host bytes consumed by the shadow structures.
     pub fn shadow_bytes(&self) -> u64 {
-        self.shadow_bytes.load(Ordering::Relaxed)
+        self.counters.shadow_bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -683,6 +720,46 @@ mod tests {
         b.set_object(HEAP_BASE, 16, 2);
         assert_eq!(a.lookup(HEAP_BASE), Some(1));
         assert_eq!(b.lookup(HEAP_BASE), Some(2));
+    }
+
+    #[test]
+    fn per_lookup_fields_and_counters_sit_on_different_cache_lines() {
+        use core::mem::{align_of, offset_of};
+        // Offsets map to cache lines only if the struct starts one.
+        assert_eq!(align_of::<MetaPageTable>() % 64, 0);
+        let read = [
+            offset_of!(MetaPageTable, l1),
+            offset_of!(MetaPageTable, identity),
+            offset_of!(MetaPageTable, cache_enabled),
+        ];
+        let written = [
+            offset_of!(MetaPageTable, counters.shadow_bytes),
+            offset_of!(MetaPageTable, counters.cache_hits),
+            offset_of!(MetaPageTable, counters.cache_misses),
+        ];
+        for r in read {
+            let apart = written.iter().all(|w| w / 64 != r / 64);
+            assert!(apart, "field at offset {r} shares a counter line");
+        }
+    }
+
+    #[test]
+    fn misses_are_exact_for_the_calling_thread() {
+        // More distinct pages than slots and than one miss batch, so the
+        // count crosses several flushes and several evictions.
+        const PAGES: u64 = 200;
+        let t = MetaPageTable::new();
+        t.register_span(HEAP_BASE, PAGES, 12);
+        for p in 0..PAGES {
+            assert_eq!(t.lookup(HEAP_BASE + p * PAGE_SIZE), None, "no object set");
+        }
+        assert_eq!(
+            t.cache_stats(),
+            P2oCacheStats {
+                hits: 0,
+                misses: PAGES
+            }
+        );
     }
 
     #[test]

@@ -298,6 +298,15 @@ impl PageRef<'_> {
     }
 }
 
+/// The written side of an [`AddressSpace`], kept apart from the fields
+/// every access reads (see the `counters` field).
+#[repr(align(64))]
+struct SpaceCounters {
+    mapped_pages: AtomicUsize,
+    tlb_hits: AtomicU64,
+    tlb_misses: AtomicU64,
+}
+
 /// A sparse simulated 64-bit address space.
 ///
 /// All word accesses are atomic with acquire/release semantics, so the
@@ -315,7 +324,6 @@ impl PageRef<'_> {
 /// ```
 pub struct AddressSpace {
     root: Box<Node<Node<Node<Page>>>>,
-    mapped_pages: AtomicUsize,
     /// This space's current TLB validity stamp (see [`TlbSlot`]): globally
     /// unique, replaced with a fresh one on every `unmap`, so entries
     /// filled before the unmap stop matching — restoring fault-on-access
@@ -324,8 +332,11 @@ pub struct AddressSpace {
     /// Runtime kill switch for the TLB, used by the hot-path benchmarks to
     /// measure the uncached walk on the same binary.
     tlb_enabled: AtomicBool,
-    tlb_hits: AtomicU64,
-    tlb_misses: AtomicU64,
+    /// The counters threads write, on a cache line of their own: every
+    /// word access reads `root`/`tlb_stamp`/`tlb_enabled`, so a batch
+    /// flush or `map` on one thread must not evict that line from the
+    /// others.
+    counters: SpaceCounters,
     /// Flight-recorder attach point; faults are recorded here. Detached
     /// (free) until [`AddressSpace::set_tracer`], and only fault paths
     /// consult it — word-access fast paths never touch it.
@@ -350,11 +361,13 @@ impl AddressSpace {
     pub fn new() -> Self {
         AddressSpace {
             root: Node::new(),
-            mapped_pages: AtomicUsize::new(0),
             tlb_stamp: AtomicU64::new(fresh_tlb_stamp()),
             tlb_enabled: AtomicBool::new(true),
-            tlb_hits: AtomicU64::new(0),
-            tlb_misses: AtomicU64::new(0),
+            counters: SpaceCounters {
+                mapped_pages: AtomicUsize::new(0),
+                tlb_hits: AtomicU64::new(0),
+                tlb_misses: AtomicU64::new(0),
+            },
             trace: Trace::new(),
         }
     }
@@ -458,7 +471,7 @@ impl AddressSpace {
     ) -> Option<&Page> {
         self.flush_pending_hits(tlb);
         tlb.batch_owner.set(stamp);
-        self.tlb_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.tlb_misses.fetch_add(1, Ordering::Relaxed);
         let page = self.lookup_page(addr)?;
         // Negative results are never cached: a later `map` must be
         // visible immediately. `stamp` was read before the walk, so a
@@ -483,7 +496,9 @@ impl AddressSpace {
         let left = tlb.hits_left.get() - 1;
         if left == 0 {
             if tlb.batch_owner.get() == stamp {
-                self.tlb_hits.fetch_add(HIT_FLUSH_EVERY, Ordering::Relaxed);
+                self.counters
+                    .tlb_hits
+                    .fetch_add(HIT_FLUSH_EVERY, Ordering::Relaxed);
             }
             tlb.hits_left.set(HIT_FLUSH_EVERY);
         } else {
@@ -495,7 +510,7 @@ impl AddressSpace {
         let n = HIT_FLUSH_EVERY - tlb.hits_left.get();
         if n > 0 {
             if tlb.batch_owner.get() == self.tlb_stamp.load(Ordering::Acquire) {
-                self.tlb_hits.fetch_add(n, Ordering::Relaxed);
+                self.counters.tlb_hits.fetch_add(n, Ordering::Relaxed);
             }
             tlb.hits_left.set(HIT_FLUSH_EVERY);
         }
@@ -505,15 +520,19 @@ impl AddressSpace {
     ///
     /// The calling thread's pending hit batch is flushed first, so after a
     /// single-threaded, single-space workload the numbers are exact; with
-    /// concurrent threads, up to one unflushed batch per other thread may
-    /// be missing, and a batch whose hits straddle several spaces is
+    /// concurrent threads, up to one unflushed hit batch per other thread
+    /// may be missing, and a batch whose hits straddle several spaces is
     /// credited entirely to the space that started it (the one that last
-    /// missed on that thread).
+    /// missed on that thread). Misses are counted one by one and are
+    /// always exact: an `unmap` re-stamps the space, which drops any
+    /// pending batch, so batching misses would lose them. Both counters
+    /// share a cache line no access reads, so the miss RMW costs other
+    /// threads' hit paths nothing.
     pub fn tlb_stats(&self) -> TlbStats {
         TLB.with(|tlb| self.flush_pending_hits(tlb));
         TlbStats {
-            hits: self.tlb_hits.load(Ordering::Relaxed),
-            misses: self.tlb_misses.load(Ordering::Relaxed),
+            hits: self.counters.tlb_hits.load(Ordering::Relaxed),
+            misses: self.counters.tlb_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -545,7 +564,7 @@ impl AddressSpace {
             match slot.compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => {
-                    self.mapped_pages.fetch_add(1, Ordering::Relaxed);
+                    self.counters.mapped_pages.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(_) => {
                     // SAFETY: `fresh` lost the race and was never shared.
@@ -594,7 +613,7 @@ impl AddressSpace {
             // The simulation never unmaps enough pages for this to matter,
             // and it exactly reproduces the "stale TLB entry" window real
             // hardware has. The count still goes down for accounting.
-            self.mapped_pages.fetch_sub(1, Ordering::Relaxed);
+            self.counters.mapped_pages.fetch_sub(1, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -606,7 +625,7 @@ impl AddressSpace {
 
     /// Number of currently mapped pages (for resident-memory accounting).
     pub fn mapped_pages(&self) -> usize {
-        self.mapped_pages.load(Ordering::Relaxed)
+        self.counters.mapped_pages.load(Ordering::Relaxed)
     }
 
     /// Resident bytes, i.e. mapped pages times the page size.
@@ -845,6 +864,27 @@ fn range_pages(addr: Addr, len: u64) -> Result<(u64, u64), MapError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn per_access_fields_and_counters_sit_on_different_cache_lines() {
+        use core::mem::{align_of, offset_of};
+        // Offsets map to cache lines only if the struct starts one.
+        assert_eq!(align_of::<AddressSpace>() % 64, 0);
+        let read = [
+            offset_of!(AddressSpace, root),
+            offset_of!(AddressSpace, tlb_stamp),
+            offset_of!(AddressSpace, tlb_enabled),
+        ];
+        let written = [
+            offset_of!(AddressSpace, counters.mapped_pages),
+            offset_of!(AddressSpace, counters.tlb_hits),
+            offset_of!(AddressSpace, counters.tlb_misses),
+        ];
+        for r in read {
+            let apart = written.iter().all(|w| w / 64 != r / 64);
+            assert!(apart, "field at offset {r} shares a counter line");
+        }
+    }
     use crate::layout::{HEAP_BASE, INVALID_BIT};
 
     #[test]

@@ -53,6 +53,8 @@ cargo build --release
 
 echo "== tier-1: cargo clippy -D warnings =="
 cargo clippy -q --workspace --all-targets -- -D warnings
+# perfbench/ is a workspace of its own: --workspace never compiles it.
+cargo clippy -q --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== tier-1: cargo test -q =="
 test_log=$(mktemp /tmp/verify-tests.XXXXXX.log)
